@@ -27,7 +27,12 @@
 #include "anneal/sample_set.h"
 #include "anneal/simulated_annealer.h"
 #include "anneal/sqa.h"
+#include "chimera/topology.h"
+#include "harness/paper_workload.h"
 #include "harness/resilient_solver.h"
+#include "mqo/serialization.h"
+#include "service/solve_service.h"
+#include "util/fault.h"
 #include "util/rng.h"
 #include "workloads/coloring.h"
 #include "workloads/max_clique.h"
@@ -318,6 +323,174 @@ TEST(GoldenDeterminismTest, WorkloadSolveSnapshots) {
     }
     CheckGolden(fixture.name, reference);
   }
+}
+
+/// Appends `value` as its IEEE-754 bit pattern plus the readable decimal.
+void AppendDouble(std::ostringstream* out, const char* key, double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  char text[64];
+  std::snprintf(text, sizeof(text), "%.17g", value);
+  *out << "\"" << key << "_hex\": \"" << HexU64(bits) << "\", \"" << key
+       << "\": \"" << text << "\"";
+}
+
+/// The head every MQO ladder record shares: the answering backend, its
+/// cost and modeled time bits, and the plan per query.
+void AppendAnswer(std::ostringstream* out, const std::string& name,
+                  harness::SolveBackend backend, double cost,
+                  double modeled_ms, const mqo::MqoSolution& solution) {
+  *out << "  {\n    \"case\": \"" << name << "\",\n    \"backend\": \""
+       << harness::SolveBackendName(backend) << "\",\n    ";
+  AppendDouble(out, "cost", cost);
+  *out << ",\n    ";
+  AppendDouble(out, "total_modeled_ms", modeled_ms);
+  *out << ",\n    \"plans\": [";
+  for (int q = 0; q < solution.num_queries(); ++q) {
+    *out << (q == 0 ? "" : ", ") << solution.selected(q);
+  }
+  *out << "]";
+}
+
+/// One MQO ladder record: the answer plus every attempt (backend, attempt,
+/// status code, modeled ms).
+std::string SerializeLadder(const std::string& name,
+                            const harness::SolveReport& report,
+                            const mqo::MqoSolution& solution) {
+  std::ostringstream out;
+  AppendAnswer(&out, name, report.backend, report.cost,
+               report.total_modeled_ms, solution);
+  out << ",\n    \"attempts\": [";
+  for (size_t i = 0; i < report.attempts.size(); ++i) {
+    const harness::SolveAttempt& a = report.attempts[i];
+    out << (i == 0 ? "\n" : ",\n") << "      {\"backend\": \""
+        << harness::SolveBackendName(a.backend)
+        << "\", \"attempt\": " << a.attempt << ", \"status\": \""
+        << (a.status.ok() ? "OK" : StatusCodeToString(a.status.code()))
+        << "\", ";
+    AppendDouble(&out, "modeled_ms", a.modeled_ms);
+    out << "}";
+  }
+  out << "\n    ]\n  }";
+  return out.str();
+}
+
+/// The MQO degradation ladder pinned end to end: one paper instance under
+/// each forced single-rung ladder, a device programming failure absorbed
+/// by a fresh-gauge retry, and (through the service's wire path) an
+/// instance the clustered embedder cannot place on the chip. Every record
+/// is asserted byte-stable at 1/2/4 threads and against the committed
+/// fixture.
+TEST(GoldenDeterminismTest, MqoLadderSnapshots) {
+  chimera::ChimeraGraph graph(4, 4, 4);
+  Rng rng(20260805);
+  harness::PaperWorkloadOptions workload;
+  workload.plans_per_query = 2;
+  // Heavy sharing frustrates the instance, so the rungs' answers differ.
+  workload.saving_scale = 8.0;
+  auto instance = harness::GeneratePaperInstance(graph, workload, &rng);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+
+  // More plan variables than the small chip has qubits: the clustered
+  // embedder cannot place it, so the service enters the ladder at SQA.
+  chimera::ChimeraGraph big_graph(8, 8, 4);
+  Rng big_rng(20260806);
+  harness::PaperWorkloadOptions big_workload;
+  big_workload.plans_per_query = 2;
+  big_workload.num_queries = 100;
+  auto unplaceable =
+      harness::GeneratePaperInstance(big_graph, big_workload, &big_rng);
+  ASSERT_TRUE(unplaceable.ok()) << unplaceable.status().ToString();
+  const std::string unplaceable_text = mqo::ToText(unplaceable->problem);
+
+  harness::SolvePolicy base;
+  base.seed = 20260807;
+  base.sqa_reads = 4;
+  base.sqa_slices = 4;
+  base.sqa_sweeps = 16;
+  base.sa_reads = 8;
+  base.sa_sweeps = 32;
+  auto options_at = [](int threads) {
+    harness::QuantumMqoOptions options;
+    options.device.num_reads = 40;
+    options.device.num_gauges = 4;
+    options.device.sa_sweeps = 16;
+    options.device.seed = 20260808;
+    options.device.num_threads = threads;
+    return options;
+  };
+
+  struct Forced {
+    const char* name;
+    harness::SolveBackend backend;
+  };
+  const Forced forced[] = {{"forced_device", harness::SolveBackend::kDevice},
+                           {"forced_sqa", harness::SolveBackend::kSqa},
+                           {"forced_sa", harness::SolveBackend::kSa},
+                           {"forced_greedy", harness::SolveBackend::kGreedy}};
+
+  std::string reference;
+  for (int threads : kThreadCounts) {
+    std::vector<std::string> records;
+    for (const Forced& f : forced) {
+      harness::SolvePolicy policy = base;
+      policy.ladder = {f.backend};
+      harness::SolveReport report =
+          harness::ResilientSolver(policy).Solve(
+              instance->problem, instance->embedding, graph,
+              options_at(threads));
+      ASSERT_TRUE(report.ok) << f.name << ": " << report.FailureChain();
+      records.push_back(SerializeLadder(f.name, report, report.solution));
+    }
+    {
+      util::FaultInjector faults(20260809);
+      util::FaultSpec fail_first;
+      fail_first.fail_first = 1;
+      faults.Arm("device.program", fail_first);
+      harness::SolvePolicy policy = base;
+      policy.faults = &faults;
+      policy.backoff_initial_ms = 1.0;
+      harness::SolveReport report =
+          harness::ResilientSolver(policy).Solve(
+              instance->problem, instance->embedding, graph,
+              options_at(threads));
+      ASSERT_TRUE(report.ok) << report.FailureChain();
+      records.push_back(
+          SerializeLadder("device_program_retry", report, report.solution));
+    }
+    {
+      service::ServiceOptions options;
+      options.graph = &graph;
+      options.num_threads = threads;
+      options.policy = base;
+      options.pipeline = options_at(threads);
+      service::SolveService service(options);
+      ASSERT_TRUE(service.SubmitText(unplaceable_text).ok());
+      service.DrainAll();
+      ASSERT_EQ(service.outcomes().size(), 1u);
+      const service::SolveOutcome& outcome = service.outcomes()[0];
+      ASSERT_TRUE(outcome.status.ok()) << outcome.detail;
+      std::ostringstream out;
+      AppendAnswer(&out, "unplaceable", outcome.backend, outcome.cost,
+                   outcome.solve_modeled_ms, outcome.solution);
+      out << ",\n    \"entry_rung\": " << outcome.entry_rung
+          << ",\n    \"attempts\": " << outcome.attempts
+          << ",\n    \"detail\": \"" << outcome.detail << "\"\n  }";
+      records.push_back(out.str());
+    }
+    std::string serialized = "[\n";
+    for (size_t i = 0; i < records.size(); ++i) {
+      serialized += records[i] + (i + 1 < records.size() ? ",\n" : "\n");
+    }
+    serialized += "]\n";
+    if (threads == 1) {
+      reference = serialized;
+    } else {
+      EXPECT_EQ(serialized, reference)
+          << "MQO ladder at " << threads << " threads diverged from serial";
+    }
+  }
+  CheckGolden("ladder_mqo", reference);
 }
 
 }  // namespace
