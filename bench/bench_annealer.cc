@@ -27,6 +27,7 @@
 #include "anneal/sqa.h"
 #include "bench_common.h"
 #include "chimera/topology.h"
+#include "harness/mqo_workload.h"
 #include "harness/paper_workload.h"
 #include "harness/resilient_solver.h"
 #include "obs/trace.h"
@@ -384,8 +385,15 @@ int main() {
     solve_options.device.executor = &pool;
     solve_options.trace = &solve_trace;
     Stopwatch clock;
-    solve_report = harness::ResilientSolver(policy).Solve(
-        paper->problem, paper->embedding, chip, solve_options);
+    auto target = harness::MqoWorkload::Create(
+        std::move(paper->problem), std::move(paper->embedding), &chip);
+    if (!target.ok()) {
+      std::fprintf(stderr, "formulation failed: %s\n",
+                   target.status().message().c_str());
+      return 1;
+    }
+    solve_report =
+        harness::ResilientSolver(policy).Solve(**target, solve_options);
     resilient_wall_ms = clock.ElapsedMillis();
     if (!solve_report.ok) {
       std::fprintf(stderr, "resilient solve failed: %s\n",

@@ -185,9 +185,10 @@ inline harness::ExperimentConfig MakeClassConfig(const PaperClass& cls,
   harness::ExperimentConfig config;
   config.workload.plans_per_query = cls.plans_per_query;
   config.workload.num_queries = cls.num_queries;
-  // The paper's saving constant is unspecified; 2.0 is the calibration
-  // where the quantum-advantage shape of Figures 4-6 holds while instances
-  // stay tractable for the exact baselines (see EXPERIMENTS.md).
+  // The paper's saving constant is unspecified. 2.0 is an assumption of
+  // this reproduction: the calibration where the quantum-advantage shape
+  // of Figures 4-6 holds while instances stay tractable for the exact
+  // baselines.
   config.workload.saving_scale = 2.0;
   config.num_instances = FullScale() ? 20 : 3;
   // Paper: 1e5 ms per algorithm. Full scale uses 10 s (the curves are flat

@@ -23,6 +23,7 @@
 
 #include "bench_common.h"
 #include "chimera/topology.h"
+#include "harness/mqo_workload.h"
 #include "harness/paper_workload.h"
 #include "obs/trace.h"
 #include "service/solve_service.h"
@@ -67,12 +68,13 @@ double Percentile(std::vector<double> values, double p) {
   return values[std::min(index, values.size() - 1)];
 }
 
-/// One sustained-load run: submit every instance (overfilling the queue),
+/// One sustained-load run: submit every target (overfilling the queue),
 /// then drain to empty. Returns outcomes in settle order. When `tracer` /
 /// `prom_out` / `json_out` are set (the serial run), the run is traced
 /// and its final metric snapshot captured in both exposition formats.
-LoadResult RunLoad(const chimera::ChimeraGraph& graph,
-                   const std::vector<harness::PaperInstance>& instances,
+LoadResult RunLoad(
+    const chimera::ChimeraGraph& graph,
+    const std::vector<std::shared_ptr<const harness::MqoWorkload>>& targets,
                    int num_requests, int num_threads,
                    obs::Tracer* tracer = nullptr,
                    std::string* prom_out = nullptr,
@@ -105,12 +107,11 @@ LoadResult RunLoad(const chimera::ChimeraGraph& graph,
   service::SolveService solve_service(options);
   Stopwatch watch;
   for (int i = 0; i < num_requests; ++i) {
-    const harness::PaperInstance& instance =
-        instances[static_cast<size_t>(i) % instances.size()];
     service::RequestPriority priority = (i % 3 == 0)
                                             ? service::RequestPriority::kInteractive
                                             : service::RequestPriority::kBatch;
-    (void)solve_service.Submit(instance.problem, instance.embedding, priority);
+    (void)solve_service.Submit(targets[static_cast<size_t>(i) % targets.size()],
+                               priority);
   }
   solve_service.DrainAll();
 
@@ -137,7 +138,7 @@ int main() {
   chimera::ChimeraGraph graph(4, 4, 4);
 
   Rng rng(kSeed);
-  std::vector<harness::PaperInstance> instances;
+  std::vector<std::shared_ptr<const harness::MqoWorkload>> targets;
   for (int i = 0; i < 6; ++i) {
     harness::PaperWorkloadOptions workload;
     workload.plans_per_query = 2;
@@ -148,7 +149,14 @@ int main() {
                    instance.status().ToString().c_str());
       return 1;
     }
-    instances.push_back(*std::move(instance));
+    auto target = harness::MqoWorkload::Create(
+        std::move(instance->problem), std::move(instance->embedding), &graph);
+    if (!target.ok()) {
+      std::fprintf(stderr, "formulation failed: %s\n",
+                   target.status().ToString().c_str());
+      return 1;
+    }
+    targets.push_back(*std::move(target));
   }
 
   bench::JsonObject root;
@@ -168,9 +176,9 @@ int main() {
     // reference the stage breakdown and the exposition artifacts describe.
     LoadResult result =
         threads == 1
-            ? RunLoad(graph, instances, num_requests, threads, &serial_tracer,
+            ? RunLoad(graph, targets, num_requests, threads, &serial_tracer,
                       &serial_prom, &serial_metrics_json)
-            : RunLoad(graph, instances, num_requests, threads);
+            : RunLoad(graph, targets, num_requests, threads);
     bool identical = true;
     if (threads == 1) {
       serial = result;

@@ -4,10 +4,11 @@
 // 47/48/51 ms for 108 queries.
 //
 // Two readings are reproduced:
-//  (a) the paper classes with *time-to-best-found* under a time cap (our
-//      from-scratch branch-and-bound finds the final incumbent quickly but
-//      cannot complete CPLEX-grade optimality proofs at 500+ queries — a
-//      documented substitution gap, see EXPERIMENTS.md);
+//  (a) the paper classes with *time-to-best-found* under a time cap. The
+//      paper ran LIN-MQO on CPLEX; this repository substitutes its own
+//      from-scratch branch-and-bound, which finds the final incumbent
+//      quickly but cannot complete CPLEX-grade optimality proofs at 500+
+//      queries, so proof times at paper scale are not comparable;
 //  (b) a proof-time growth sweep over sub-chip sizes where proofs finish,
 //      showing Table 1's actual message: optimization time grows steeply
 //      with the query count.

@@ -1,7 +1,7 @@
 // Workloads benchmark: one planted instance per combinatorial workload
 // kind (max-clique, max-cut, graph coloring) solved repeatedly through the
-// resilient ladder's bare-QUBO path (`ResilientSolver::SolveQubo`) at
-// 1/2/4 sampler threads.
+// resilient ladder (`ResilientSolver::Solve`, the workload as its target)
+// at 1/2/4 sampler threads.
 //
 // Measured per (workload, threads): solve throughput (solves_per_sec) and
 // a stage breakdown (formulate / solve / decode, informational stage_*
@@ -37,12 +37,12 @@ constexpr uint64_t kSeed = 20260808;
 std::string Fingerprint(const harness::SolveReport& report,
                         const workloads::WorkloadSolution& solution) {
   std::string bits;
-  bits.reserve(report.qubo_assignment.size());
-  for (uint8_t bit : report.qubo_assignment) bits += bit ? '1' : '0';
+  bits.reserve(report.assignment.size());
+  for (uint8_t bit : report.assignment) bits += bit ? '1' : '0';
   std::string labels;
   for (int label : solution.labels) labels += StrFormat("%d,", label);
   return StrFormat("backend=%d energy=%.17g obj=%.17g feas=%d x=%s l=%s",
-                   static_cast<int>(report.backend), report.qubo_energy,
+                   static_cast<int>(report.backend), report.cost,
                    solution.objective, solution.feasible ? 1 : 0,
                    bits.c_str(), labels.c_str());
 }
@@ -77,7 +77,7 @@ KindResult RunKind(const workloads::Workload& workload, int threads,
     options.device.num_threads = threads;
     options.device.sweep_kernel = bench::BenchKernel();
     Stopwatch solve_watch;
-    harness::SolveReport report = solver.SolveQubo(workload.qubo(), options);
+    harness::SolveReport report = solver.Solve(workload, options);
     result.solve_ms += solve_watch.ElapsedMillis();
     if (!report.ok) {
       std::fprintf(stderr, "%s: solve failed: %s\n",
@@ -86,8 +86,7 @@ KindResult RunKind(const workloads::Workload& workload, int threads,
       continue;
     }
     Stopwatch decode_watch;
-    workloads::WorkloadSolution solution =
-        workload.Decode(report.qubo_assignment);
+    workloads::WorkloadSolution solution = workload.Decode(report.assignment);
     result.decode_ms += decode_watch.ElapsedMillis();
     result.retries += report.retries;
     result.fallbacks += report.fallbacks;

@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "chimera/topology.h"
+#include "harness/mqo_workload.h"
 #include "harness/paper_workload.h"
 #include "harness/quantum_pipeline.h"
 #include "harness/resilient_solver.h"
@@ -65,10 +66,15 @@ int main(int argc, char** argv) {
   options.faults = &faults;
   options.trace = &trace;
 
+  auto target = harness::MqoWorkload::Create(
+      std::move(instance->problem), std::move(instance->embedding), &chip);
+  if (!target.ok()) {
+    std::fprintf(stderr, "formulation failed: %s\n",
+                 target.status().ToString().c_str());
+    return 1;
+  }
   harness::ResilientSolver solver(policy);
-  harness::SolveReport report = solver.Solve(instance->problem,
-                                             instance->embedding, chip,
-                                             options);
+  harness::SolveReport report = solver.Solve(**target, options);
 
   std::printf("\nanswer: %s via %s, cost %.2f (%d attempts, %lld faults)\n",
               report.ok ? "ok" : "FAILED",

@@ -28,8 +28,9 @@ struct PaperWorkloadOptions {
   /// -1: use the chip's measured capacity (the paper's setup).
   int num_queries = -1;
   /// Plan costs uniform integral in [cost_min, cost_max]. The paper does
-  /// not state its cost distribution; this default is documented in
-  /// EXPERIMENTS.md as an assumption.
+  /// not state its cost distribution; uniform [10, 50] is an assumption of
+  /// this reproduction. Only the ratio to the savings below matters for
+  /// how frustrated the instances are.
   double cost_min = 10.0;
   double cost_max = 50.0;
   /// Savings are uniform from {1, 2} times this scale (paper: "chosen with

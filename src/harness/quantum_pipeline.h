@@ -33,9 +33,9 @@ class FaultInjector;
 
 namespace harness {
 
-/// Options of the full pipeline.
+/// Options of the full pipeline. The logical mapping's options belong to
+/// the mapping itself (see the `LogicalMapping` overload below).
 struct QuantumMqoOptions {
-  mapping::LogicalMappingOptions logical;
   embedding::EmbeddedQuboOptions physical;
   anneal::DWaveOptions device;
   /// Apply greedy plan-swap descent to each read during the classical
@@ -102,8 +102,17 @@ struct QuantumMqoResult {
   bool embedding_cache_hit = false;
 };
 
-/// Runs Algorithm 1 with a caller-provided embedding of the plan variables
-/// (the workload generator produces instance + embedding together).
+/// Runs Algorithm 1 on a prebuilt logical mapping (of `logical.problem()`)
+/// with a caller-provided embedding of the plan variables (the workload
+/// generator produces instance + embedding together). `preprocessing_ms`
+/// covers the physical mapping only.
+Result<QuantumMqoResult> SolveQuantumMqo(const mapping::LogicalMapping& logical,
+                                         const embedding::Embedding& embedding,
+                                         const chimera::ChimeraGraph& graph,
+                                         const QuantumMqoOptions& options);
+
+/// Builds the default logical mapping of `problem`, then runs the overload
+/// above; `preprocessing_ms` then covers both mappings.
 Result<QuantumMqoResult> SolveQuantumMqo(const mqo::MqoProblem& problem,
                                          const embedding::Embedding& embedding,
                                          const chimera::ChimeraGraph& graph,

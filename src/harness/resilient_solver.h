@@ -2,15 +2,17 @@
 #define QMQO_HARNESS_RESILIENT_SOLVER_H_
 
 /// \file resilient_solver.h
-/// The resilient solve orchestrator: MQO solving that survives an
-/// unreliable device.
+/// The resilient solve orchestrator: one degradation ladder for every
+/// payload, surviving an unreliable device.
 ///
 /// The paper's workflow assumes every stage succeeds; real annealer service
 /// traffic does not get that luxury — programming cycles fail, reads drop,
 /// chains break in storms, and the quantum path can simply be too slow for
 /// a request's latency budget (the hybrid classical+quantum MQO line of
-/// work routes around exactly this). `ResilientSolver` wraps the quantum
-/// pipeline in a `SolvePolicy`:
+/// work routes around exactly this). `ResilientSolver` solves a
+/// `SolveTarget` (solve_target.h) — the paper's MQO problem as an
+/// `MqoWorkload` with its embedding as device hint, or a graph workload's
+/// bare QUBO — under a `SolvePolicy`:
 ///
 ///  * a per-request deadline (`util::Deadline`) and per-attempt timeout;
 ///  * bounded retries with exponential backoff and seeded jitter;
@@ -23,12 +25,18 @@
 ///    the cached layout bit-identically;
 ///  * graceful degradation down the backend ladder
 ///    device -> SQA -> SA -> greedy when attempts fail or the budget runs
-///    out — greedy is near-instant and always succeeds, so a valid MQO
-///    solution comes back even when the device fails 100% of attempts.
+///    out. The device rung runs on the target's device hint; a target
+///    without one records a typed `Unimplemented` gate skip instead. SQA
+///    and SA sample the target's QUBO and refine the best read with the
+///    target's `Refine`; greedy refines the target's seed, is near-instant,
+///    and always succeeds, so a valid answer comes back even when the
+///    device fails 100% of attempts.
 ///
 /// Every attempt is recorded in a `SolveReport` (backend, typed status,
 /// wall and modeled time, faults observed, backoff applied), so a caller —
-/// or the chaos suite — can see exactly which failures were absorbed.
+/// or the chaos suite — can see exactly which failures were absorbed. The
+/// answer is the winning assignment in the target's QUBO encoding; the
+/// target decodes it (`MqoWorkload::Decode`, `workloads::Workload::Decode`).
 /// When `QuantumMqoOptions::trace` is set, the orchestrator additionally
 /// emits one `solve.attempt` span per ladder attempt (tags: rung, backend,
 /// attempt, status code, backoff, faults) with the pipeline's stage spans
@@ -41,12 +49,8 @@
 #include <string>
 #include <vector>
 
-#include "chimera/topology.h"
-#include "embedding/embedding.h"
 #include "harness/quantum_pipeline.h"
-#include "mqo/problem.h"
-#include "mqo/solution.h"
-#include "qubo/qubo.h"
+#include "harness/solve_target.h"
 #include "util/status.h"
 
 namespace qmqo {
@@ -59,9 +63,9 @@ namespace harness {
 /// The degradation ladder, cheapest last.
 enum class SolveBackend {
   kDevice,  ///< full quantum pipeline (embedding + device model)
-  kSqa,     ///< simulated quantum annealing on the logical QUBO
-  kSa,      ///< classical simulated annealing on the logical QUBO
-  kGreedy,  ///< deterministic greedy construction + swap descent
+  kSqa,     ///< simulated quantum annealing on the target's QUBO
+  kSa,      ///< classical simulated annealing on the target's QUBO
+  kGreedy,  ///< the target's greedy seed, refined
 };
 
 /// Stable lower-case name ("device", "sqa", "sa", "greedy").
@@ -97,7 +101,7 @@ struct SolvePolicy {
                                       SolveBackend::kSqa, SolveBackend::kSa,
                                       SolveBackend::kGreedy};
   /// Sampler budgets of the degraded classical backends (they run on the
-  /// logical QUBO, no embedding).
+  /// target's QUBO, no embedding).
   int sqa_reads = 16;
   int sqa_slices = 8;
   int sqa_sweeps = 64;
@@ -137,7 +141,7 @@ struct SolveAttempt {
   int attempt = 0;
   /// OK when this attempt produced the returned answer.
   Status status;
-  /// MQO cost of the attempt's answer (only when `status.ok()`).
+  /// Cost of the attempt's answer (only when `status.ok()`).
   double cost = 0.0;
   double wall_ms = 0.0;
   /// Modeled time charged to the deadline by this attempt: injected device
@@ -153,18 +157,18 @@ struct SolveAttempt {
 
 /// Everything one resilient solve produced and absorbed.
 struct SolveReport {
-  /// True when some backend answered with a valid solution.
+  /// True when some backend answered.
   bool ok = false;
   /// OK on success; otherwise the last attempt's error.
   Status final_status;
   /// The backend that answered.
   SolveBackend backend = SolveBackend::kGreedy;
-  mqo::MqoSolution solution{0};
-  /// Bare-QUBO answers (`SolveQubo`): the winning assignment (one 0/1 byte
-  /// per variable) and its energy. Empty / 0 for MQO solves, where the
-  /// answer lives in `solution` instead.
-  std::vector<uint8_t> qubo_assignment;
-  double qubo_energy = 0.0;
+  /// The winning assignment in the target's QUBO encoding (one 0/1 byte
+  /// per variable; empty when no backend answered). Decode it with the
+  /// target.
+  std::vector<uint8_t> assignment;
+  /// The answer's cost as the target's `Refine` reports it: the MQO cost
+  /// for `MqoWorkload`, the QUBO energy by default.
   double cost = 0.0;
   int total_attempts = 0;
   /// Re-attempts on the same backend (total attempts minus backends tried).
@@ -192,30 +196,13 @@ class ResilientSolver {
  public:
   explicit ResilientSolver(const SolvePolicy& policy) : policy_(policy) {}
 
-  /// Solves `problem` under the policy. Never throws; always returns a
+  /// Solves `target` under the policy. Never throws; always returns a
   /// report (with `ok == false` only when every ladder backend failed,
   /// which requires fault-injecting the last resort). `options` configures
-  /// the device backend exactly like `SolveQuantumMqo`; its executor and
-  /// thread count are reused by the degraded samplers.
-  SolveReport Solve(const mqo::MqoProblem& problem,
-                    const embedding::Embedding& embedding,
-                    const chimera::ChimeraGraph& graph,
+  /// the device rung exactly like `SolveQuantumMqo`; its executor, thread
+  /// count, and sweep kernel are reused by the classical samplers.
+  SolveReport Solve(const SolveTarget& target,
                     const QuantumMqoOptions& options) const;
-
-  /// Solves a bare QUBO (no MQO structure, no embedding) through the same
-  /// degradation ladder, retry budget, deadline accounting, backoff, gate,
-  /// fault sites, and trace spans as `Solve`. The device rung cannot run
-  /// without an embedded MQO problem, so it is gated with a typed
-  /// `Unimplemented` (one attempt-0 record, no retry budget burned) and the
-  /// ladder enters at SQA. Each sampler's best read is refined by a
-  /// deterministic best-improvement single-flip descent; the greedy last
-  /// resort is that descent from all-zeros, which always answers. The
-  /// winning assignment and energy come back in
-  /// `SolveReport::qubo_assignment` / `qubo_energy` (`cost` mirrors the
-  /// energy). `options` supplies the executor/threads/kernel for the
-  /// samplers and the optional trace, exactly as in `Solve`.
-  SolveReport SolveQubo(const qubo::QuboProblem& problem,
-                        const QuantumMqoOptions& options) const;
 
   const SolvePolicy& policy() const { return policy_; }
 

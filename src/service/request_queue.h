@@ -23,15 +23,10 @@
 #include <mutex>
 #include <vector>
 
-#include "embedding/embedding.h"
-#include "mqo/problem.h"
+#include "harness/solve_target.h"
 #include "util/status.h"
 
 namespace qmqo {
-namespace workloads {
-class Workload;
-}  // namespace workloads
-
 namespace service {
 
 /// Scheduling class of a request. Interactive requests dequeue ahead of
@@ -54,16 +49,9 @@ struct QueuedRequest {
   /// Modeled per-request deadline, milliseconds since `submit_ms`;
   /// <= 0 = none. Requests that age past it in the queue are shed.
   double deadline_ms = 0.0;
-  mqo::MqoProblem problem;
-  embedding::Embedding embedding{0};
-  /// False when no embedding could be derived for the instance — the
-  /// device rung is unusable and admission degrades the entry rung.
-  bool has_embedding = false;
-  /// Non-null for workload requests (max-clique / max-cut / coloring):
-  /// the formulated problem the solve runs against (`SolveQubo` on its
-  /// QUBO) instead of `problem`/`embedding`. Shared and immutable — the
-  /// outcome keeps a reference for decoding.
-  std::shared_ptr<const workloads::Workload> workload;
+  /// What the solve runs against: an MQO problem (`harness::MqoWorkload`)
+  /// or a graph workload. Shared and immutable; never null once admitted.
+  std::shared_ptr<const harness::SolveTarget> target;
 };
 
 /// Bounded two-lane FIFO. Thread-safe.

@@ -4,8 +4,8 @@
 #include <array>
 #include <utility>
 
-#include "embedding/clustered.h"
 #include "embedding/embedding_cache.h"
+#include "harness/mqo_workload.h"
 #include "mqo/serialization.h"
 #include "util/executor.h"
 #include "util/fault.h"
@@ -46,6 +46,25 @@ int ShedRungForFill(const ServiceOptions& options, double fill) {
   if (fill >= options.shed_sqa_fill) rung = 2;
   if (fill >= options.shed_sa_fill) rung = 3;
   return rung;
+}
+
+// Decodes a settled answer into the outcome fields of its payload: a graph
+// workload's domain solution and gap (`outcome->workload`, already set by
+// the commit), or else the plan selection of an MQO problem. Decoding is a
+// pure function of the winning assignment (repair included), so running it
+// on the serial commit path keeps outcomes deterministic at any worker
+// count. MQO outcomes keep only the decoded selection, never the target and
+// its mapping.
+void DecodeAnswer(const harness::SolveTarget& target,
+                  const harness::SolveReport& report, SolveOutcome* outcome) {
+  if (outcome->workload != nullptr) {
+    outcome->workload_solution = outcome->workload->Decode(report.assignment);
+    outcome->workload_gap =
+        outcome->workload->OptimalityGap(outcome->workload_solution);
+  } else if (const auto* mqo =
+                 dynamic_cast<const harness::MqoWorkload*>(&target)) {
+    outcome->solution = mqo->Decode(report.assignment);
+  }
 }
 
 // One round slot: everything decided serially at admission, filled in by
@@ -211,7 +230,27 @@ ServiceStats SolveService::stats() const {
   return s;
 }
 
-Result<uint64_t> SolveService::Enqueue(QueuedRequest request) {
+Status SolveService::RejectInvalid(Status status) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  m_submitted_->Increment();
+  m_rejected_invalid_->Increment();
+  return status;
+}
+
+Result<uint64_t> SolveService::Submit(
+    std::shared_ptr<const harness::SolveTarget> target,
+    RequestPriority priority, double deadline_ms) {
+  if (target == nullptr) {
+    return RejectInvalid(Status::InvalidArgument("null solve target"));
+  }
+  const auto* workload =
+      dynamic_cast<const workloads::Workload*>(target.get());
+  QueuedRequest request;
+  request.priority = priority;
+  request.deadline_ms =
+      deadline_ms < 0.0 ? options_.default_deadline_ms : deadline_ms;
+  request.target = std::move(target);
+
   std::lock_guard<std::mutex> lock(mutex_);
   m_submitted_->Increment();
   if (!accepting_) {
@@ -227,28 +266,10 @@ Result<uint64_t> SolveService::Enqueue(QueuedRequest request) {
   }
   uint64_t id = next_id_++;
   m_accepted_->Increment();
-  return id;
-}
-
-Result<uint64_t> SolveService::Submit(mqo::MqoProblem problem,
-                                      embedding::Embedding embedding,
-                                      RequestPriority priority,
-                                      double deadline_ms) {
-  Status valid = problem.Validate();
-  if (!valid.ok()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    m_submitted_->Increment();
-    m_rejected_invalid_->Increment();
-    return valid;
+  if (workload != nullptr) {
+    m_workload_accepted_[static_cast<size_t>(workload->kind())]->Increment();
   }
-  QueuedRequest request;
-  request.priority = priority;
-  request.deadline_ms =
-      deadline_ms < 0.0 ? options_.default_deadline_ms : deadline_ms;
-  request.problem = std::move(problem);
-  request.has_embedding = embedding.num_vars() == request.problem.num_plans();
-  request.embedding = std::move(embedding);
-  return Enqueue(std::move(request));
+  return id;
 }
 
 Result<uint64_t> SolveService::SubmitText(const std::string& text,
@@ -260,102 +281,35 @@ Result<uint64_t> SolveService::SubmitText(const std::string& text,
   // must never fall through into a format parser whose errors would
   // misreport it as a malformed instance of the wrong format.
   if (text.size() > kMaxSubmitTextBytes) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    m_submitted_->Increment();
-    m_rejected_invalid_->Increment();
-    return Status::InvalidArgument(
+    return RejectInvalid(Status::InvalidArgument(
         StrFormat("oversized payload: %zu bytes (limit %zu)", text.size(),
-                  kMaxSubmitTextBytes));
+                  kMaxSubmitTextBytes)));
   }
   const std::string tag = LeadingRequestTag(text);
+  std::shared_ptr<const harness::SolveTarget> target;
   if (tag == "workload") {
     Result<workloads::WorkloadSpec> spec = workloads::FromText(text);
-    if (!spec.ok()) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      m_submitted_->Increment();
-      m_rejected_invalid_->Increment();
-      return spec.status();
-    }
+    if (!spec.ok()) return RejectInvalid(spec.status());
     Result<std::shared_ptr<workloads::Workload>> made =
         workloads::MakeWorkload(*spec);
-    if (!made.ok()) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      m_submitted_->Increment();
-      m_rejected_invalid_->Increment();
-      return made.status();
-    }
-    return SubmitWorkload(std::move(made).value(), priority, deadline_ms);
-  }
-  if (tag != "mqo") {
-    std::lock_guard<std::mutex> lock(mutex_);
-    m_submitted_->Increment();
-    m_rejected_invalid_->Increment();
-    return Status::InvalidArgument(StrFormat(
+    if (!made.ok()) return RejectInvalid(made.status());
+    target = std::move(made).value();
+  } else if (tag == "mqo") {
+    Result<mqo::MqoProblem> parsed = mqo::FromText(text);
+    if (!parsed.ok()) return RejectInvalid(parsed.status());
+    // No layout that fits is not a rejection: the target carries no device
+    // hint and the request enters the ladder at the first classical rung.
+    Result<std::shared_ptr<const harness::MqoWorkload>> placed =
+        harness::MqoWorkload::CreateClustered(std::move(parsed).value(),
+                                              options_.graph);
+    if (!placed.ok()) return RejectInvalid(placed.status());
+    target = std::move(placed).value();
+  } else {
+    return RejectInvalid(Status::InvalidArgument(StrFormat(
         "unknown request type tag '%s' (expected 'mqo' or 'workload')",
-        tag.c_str()));
+        tag.c_str())));
   }
-  Result<mqo::MqoProblem> parsed = mqo::FromText(text);
-  if (!parsed.ok()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    m_submitted_->Increment();
-    m_rejected_invalid_->Increment();
-    return parsed.status();
-  }
-  mqo::MqoProblem problem = std::move(parsed).value();
-  // Re-derive the embedding from the instance's cluster structure — the
-  // same construction the paper workload uses, so a round-tripped payload
-  // gets a bit-identical device layout. No fit is not a rejection: the
-  // request enters the ladder at the first classical rung instead.
-  embedding::Embedding embedding(0);
-  bool has_embedding = false;
-  if (options_.graph != nullptr && problem.num_queries() > 0) {
-    std::vector<int> cluster_sizes(
-        static_cast<size_t>(problem.num_queries()));
-    for (int q = 0; q < problem.num_queries(); ++q) {
-      cluster_sizes[static_cast<size_t>(q)] = problem.num_plans_of(q);
-    }
-    Result<embedding::Embedding> embedded =
-        embedding::ClusteredEmbedder::Embed(cluster_sizes, *options_.graph);
-    if (embedded.ok()) {
-      embedding = std::move(embedded).value();
-      has_embedding = true;
-    }
-  }
-  QueuedRequest request;
-  request.priority = priority;
-  request.deadline_ms =
-      deadline_ms < 0.0 ? options_.default_deadline_ms : deadline_ms;
-  request.problem = std::move(problem);
-  request.embedding = std::move(embedding);
-  request.has_embedding = has_embedding;
-  return Enqueue(std::move(request));
-}
-
-Result<uint64_t> SolveService::SubmitWorkload(
-    std::shared_ptr<const workloads::Workload> workload,
-    RequestPriority priority, double deadline_ms) {
-  if (workload == nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    m_submitted_->Increment();
-    m_rejected_invalid_->Increment();
-    return Status::InvalidArgument("null workload");
-  }
-  const int kind = static_cast<int>(workload->kind());
-  QueuedRequest request;
-  request.priority = priority;
-  request.deadline_ms =
-      deadline_ms < 0.0 ? options_.default_deadline_ms : deadline_ms;
-  // No embedding exists for a bare QUBO: admission degrades the entry rung
-  // past the device exactly as for an MQO request whose embedding did not
-  // fit, and SolveQubo's own gate records the typed skip.
-  request.has_embedding = false;
-  request.workload = std::move(workload);
-  Result<uint64_t> id = Enqueue(std::move(request));
-  if (id.ok() && kind >= 0 && kind < 3) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    m_workload_accepted_[kind]->Increment();
-  }
-  return id;
+  return Submit(std::move(target), priority, deadline_ms);
 }
 
 int SolveService::ProcessRound() {
@@ -413,8 +367,8 @@ int SolveService::ProcessRound() {
       }
 
       RoundSlot slot;
-      // Entry rung: queue pressure, a brownout fault, or a missing
-      // embedding each force the request past the device rung.
+      // Entry rung: queue pressure, a brownout fault, or a target without
+      // a device hint each force the request past the device rung.
       int entry_rung = shed_rung;
       bool shed = shed_rung > 0;
       if (faults != nullptr &&
@@ -422,7 +376,9 @@ int SolveService::ProcessRound() {
         entry_rung = std::max(entry_rung, 1);
         shed = true;
       }
-      if (!request.has_embedding) entry_rung = std::max(entry_rung, 1);
+      if (request.target->device_hint() == nullptr) {
+        entry_rung = std::max(entry_rung, 1);
+      }
       if (shed) m_shed_degraded_->Increment();
       slot.shed = shed;
 
@@ -485,7 +441,6 @@ int SolveService::ProcessRound() {
   // Parallel fan-out into per-index slots. Everything order-dependent
   // already happened above; everything order-dependent below happens after
   // the barrier — results are bit-identical at any worker count.
-  const chimera::ChimeraGraph* graph = options_.graph;
   util::Executor::Run(
       options_.executor, static_cast<int>(slots.size()),
       std::max(1, options_.num_threads), [&](int begin, int end, int) {
@@ -493,18 +448,8 @@ int SolveService::ProcessRound() {
           RoundSlot& slot = slots[static_cast<size_t>(i)];
           if (slot.crashed) continue;
           if (slot.root_span >= 0) slot.pipeline.trace = &slot.trace;
-          if (slot.request.workload != nullptr) {
-            // Workload requests solve the formulated QUBO through the same
-            // ladder/budget machinery; no embedding, no device rung.
-            slot.report = harness::ResilientSolver(slot.policy)
-                              .SolveQubo(slot.request.workload->qubo(),
-                                         slot.pipeline);
-          } else {
-            slot.report = harness::ResilientSolver(slot.policy)
-                              .Solve(slot.request.problem,
-                                     slot.request.embedding, *graph,
-                                     slot.pipeline);
-          }
+          slot.report = harness::ResilientSolver(slot.policy)
+                            .Solve(*slot.request.target, slot.pipeline);
         }
       });
 
@@ -522,6 +467,9 @@ int SolveService::ProcessRound() {
   for (RoundSlot& slot : slots) {
     SolveOutcome outcome;
     outcome.id = slot.request.id;
+    const std::shared_ptr<const workloads::Workload> workload =
+        std::dynamic_pointer_cast<const workloads::Workload>(
+            slot.request.target);
     outcome.entry_rung = slot.policy.entry_rung;
     outcome.shed_degraded = slot.shed;
     outcome.queue_wait_modeled_ms =
@@ -553,23 +501,12 @@ int SolveService::ProcessRound() {
       outcome.status = report.final_status;
       outcome.backend = report.backend;
       outcome.cost = report.cost;
-      outcome.solution = report.solution;
+      outcome.workload = workload;
+      if (report.ok) DecodeAnswer(*slot.request.target, report, &outcome);
       outcome.solve_modeled_ms = report.total_modeled_ms;
       outcome.attempts = report.total_attempts;
       outcome.faults_observed = report.faults_observed;
       outcome.detail = report.FailureChain();
-      if (slot.request.workload != nullptr) {
-        outcome.workload = slot.request.workload;
-        if (report.ok) {
-          // Decode is a pure function of the winning assignment (repair
-          // included), so running it on the serial commit path keeps the
-          // outcome deterministic at any worker count for free.
-          outcome.workload_solution =
-              slot.request.workload->Decode(report.qubo_assignment);
-          outcome.workload_gap = slot.request.workload->OptimalityGap(
-              outcome.workload_solution);
-        }
-      }
       m_faults_observed_->Increment(report.faults_observed);
       if (report.ok) {
         m_completed_ok_->Increment();
@@ -592,9 +529,8 @@ int SolveService::ProcessRound() {
         trace.Tag("verdict", "failed");
       }
       trace.Tag("entry_rung", static_cast<int64_t>(outcome.entry_rung));
-      if (slot.request.workload != nullptr) {
-        trace.Tag("workload", workloads::WorkloadKindName(
-                                  slot.request.workload->kind()));
+      if (workload != nullptr) {
+        trace.Tag("workload", workloads::WorkloadKindName(workload->kind()));
       }
       if (slot.shed) trace.Tag("shed", static_cast<int64_t>(1));
       if (outcome.breaker_skips > 0) {

@@ -6,10 +6,14 @@
 ///
 /// `SolveService` turns the one-shot resilient solve orchestrator into a
 /// long-running service loop with the operational behaviors a shared MQO
-/// endpoint needs:
+/// endpoint needs. Every request is one `harness::SolveTarget` — an MQO
+/// problem as `harness::MqoWorkload` (device hint: its embedding) or a
+/// graph workload — and every worker makes the same single
+/// `ResilientSolver::Solve` call on it:
 ///
-///  * **Admission control.** Requests arrive through `Submit` /
-///    `SubmitText` (the v1 wire format) into a bounded two-lane queue
+///  * **Admission control.** Requests arrive through `Submit` (a built
+///    target) or `SubmitText` (the `mqo v1` / `workload v1` wire formats)
+///    into a bounded two-lane queue
 ///    (`BoundedRequestQueue`); when it is full, submission is rejected with
 ///    `ResourceExhausted` instead of buffering unboundedly. Invalid
 ///    payloads are rejected with `InvalidArgument`; a shut-down service
@@ -25,8 +29,10 @@
 ///    degrades the ladder *entry rung* (`SolvePolicy::entry_rung`):
 ///    past `shed_device_fill` new work skips the device, past
 ///    `shed_sqa_fill` it also skips SQA, past `shed_sa_fill` everything
-///    goes straight to greedy. Degraded requests still complete — graceful
-///    degradation trades answer quality for throughput, never availability.
+///    goes straight to greedy. A target without a device hint enters past
+///    the device too (not counted as shed). Degraded requests still
+///    complete — graceful degradation trades answer quality for
+///    throughput, never availability.
 ///  * **Deadlines.** Each request carries a modeled deadline; requests that
 ///    age past it while still queued are shed (`expired_in_queue`) without
 ///    ever occupying a worker, and scheduled requests inherit only their
@@ -47,7 +53,10 @@
 /// so for a fixed submission order and `QMQO_CHAOS_SEED`, per-request
 /// outcomes and every counter are bit-identical at 1, 2, or 4 worker
 /// threads. With no faults armed and no overload, a request's answer is
-/// bit-identical to calling `ResilientSolver::Solve` directly.
+/// bit-identical to calling `ResilientSolver::Solve` directly. The answer
+/// is decoded once, on the serial commit path, into the outcome fields of
+/// its payload: `solution` for MQO, `workload_solution` and `workload_gap`
+/// for graph workloads.
 ///
 /// Fault sites queried here (see util/fault.h): "service.queue_stall"
 /// (keyed by round), "service.worker_crash" and "service.brownout" (keyed
@@ -61,7 +70,7 @@
 #include "chimera/topology.h"
 #include "harness/quantum_pipeline.h"
 #include "harness/resilient_solver.h"
-#include "mqo/problem.h"
+#include "harness/solve_target.h"
 #include "mqo/solution.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -99,7 +108,8 @@ struct ServiceOptions {
   /// Pipeline options template for the device rung (executor and faults
   /// are filled in by the service when unset).
   harness::QuantumMqoOptions pipeline;
-  /// Hardware graph solves run against (never owned; required).
+  /// Hardware graph `SubmitText` places MQO payloads on (never owned;
+  /// null = MQO payloads get no device hint).
   const chimera::ChimeraGraph* graph = nullptr;
   /// Queue fill fractions at which the entry rung degrades to SQA, SA,
   /// and greedy respectively (measured at round formation).
@@ -133,7 +143,10 @@ struct SolveOutcome {
   Status status;
   /// The answering backend (meaningful when `status.ok()`).
   harness::SolveBackend backend = harness::SolveBackend::kGreedy;
+  /// The answer's cost: MQO cost, or the raw QUBO energy of a graph
+  /// workload's winning assignment.
   double cost = 0.0;
+  /// MQO requests only: the selected plan per query.
   mqo::MqoSolution solution{0};
   /// Ladder rung the request entered at (0 = full ladder).
   int entry_rung = 0;
@@ -150,11 +163,10 @@ struct SolveOutcome {
   int64_t faults_observed = 0;
   /// Human-readable failure chain of the solve (empty when unscheduled).
   std::string detail;
-  /// Workload requests only: the formulated problem (null for MQO), the
-  /// decoded domain solution (clique members / cut sides / colors — always
-  /// repaired to the domain by `Workload::Decode`), and its optimality gap
-  /// against the generator-planted optimum. `cost` carries the raw QUBO
-  /// energy of the winning assignment.
+  /// Graph workload requests only: the formulated problem (null for MQO),
+  /// the decoded domain solution (clique members / cut sides / colors —
+  /// always repaired to the domain by `Workload::Decode`), and its
+  /// optimality gap against the generator-planted optimum.
   std::shared_ptr<const workloads::Workload> workload;
   workloads::WorkloadSolution workload_solution;
   double workload_gap = 0.0;
@@ -167,35 +179,25 @@ class SolveService {
  public:
   explicit SolveService(const ServiceOptions& options);
 
-  /// Submits a parsed problem with a caller-provided embedding. Returns
-  /// the assigned request id, or the typed rejection (`InvalidArgument`,
+  /// Submits a built target: `harness::MqoWorkload` (with or without a
+  /// device hint) or a graph workload. Returns the assigned request id, or
+  /// the typed rejection (`InvalidArgument` for a null target,
   /// `ResourceExhausted`, `Unavailable`). `deadline_ms` < 0 uses the
   /// service default; 0 means no deadline.
-  Result<uint64_t> Submit(mqo::MqoProblem problem,
-                          embedding::Embedding embedding,
+  Result<uint64_t> Submit(std::shared_ptr<const harness::SolveTarget> target,
                           RequestPriority priority = RequestPriority::kBatch,
                           double deadline_ms = -1.0);
 
-  /// Submits a v1 wire-format payload (`mqo::FromText`). The embedding is
-  /// re-derived from the parsed problem's cluster structure
-  /// (`ClusteredEmbedder`), exactly as the paper workload builds it — so a
-  /// round-tripped instance solves bit-identically to its in-process
-  /// original. When no embedding fits the graph the request is still
-  /// accepted, entering the ladder at the first classical rung.
+  /// Submits a wire payload, dispatched on its leading tag. `mqo v1`
+  /// (`mqo::FromText`) becomes an `MqoWorkload` placed on `graph` by
+  /// `MqoWorkload::CreateClustered`, exactly as the paper workload builds
+  /// its layout — so a round-tripped instance solves bit-identically to
+  /// its in-process original; when no layout fits, the request is still
+  /// accepted and enters the ladder at the first classical rung.
+  /// `workload v1` (`workloads::FromText`) becomes its graph workload.
   Result<uint64_t> SubmitText(const std::string& text,
                               RequestPriority priority = RequestPriority::kBatch,
                               double deadline_ms = -1.0);
-
-  /// Submits a formulated workload (max-clique / max-cut / coloring). The
-  /// solve runs `ResilientSolver::SolveQubo` on the workload's QUBO —
-  /// there is no embedding, so the request enters the ladder at the first
-  /// classical rung, exactly like an MQO request whose embedding did not
-  /// fit. The outcome carries the decoded domain solution and its
-  /// optimality gap. Null workloads are `InvalidArgument`.
-  Result<uint64_t> SubmitWorkload(
-      std::shared_ptr<const workloads::Workload> workload,
-      RequestPriority priority = RequestPriority::kBatch,
-      double deadline_ms = -1.0);
 
   /// Runs one scheduling round: claims up to `round_width` requests, sheds
   /// expired ones, solves the rest in parallel, commits outcomes and
@@ -239,7 +241,8 @@ class SolveService {
   const BoundedRequestQueue& queue() const { return queue_; }
 
  private:
-  Result<uint64_t> Enqueue(QueuedRequest request);
+  /// Counts one submission rejected before it reached the queue.
+  Status RejectInvalid(Status status);
   /// Creates every registry-backed counter/gauge/histogram handle and
   /// registers the breaker/fault/cache collectors. Constructor-only.
   void RegisterMetrics();

@@ -11,9 +11,15 @@
 /// workload follows one lifecycle:
 ///
 ///   generate (planted optimum) -> Formulate (a `qubo::QuboProblem`)
-///     -> solve (any sampler / the resilient ladder / exact)
+///     -> solve (any sampler / exact / `ResilientSolver::Solve`, the same
+///        ladder call the paper's MQO problem takes as `MqoWorkload`)
 ///     -> Decode (bitstring back to graph terms, with deterministic repair)
 ///     -> Validate (feasibility + optimality gap against the planted truth)
+///
+/// A workload is a `harness::SolveTarget` with the contract's defaults: no
+/// device hint (the ladder records a typed gate skip and starts at SQA),
+/// best-improvement single-flip descent as the refine step, and all zeros
+/// as the greedy seed.
 ///
 /// Conventions shared by every workload:
 ///  * The QUBO is a *minimization*; `energy_offset()` is the constant that
@@ -30,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/solve_target.h"
 #include "qubo/qubo.h"
 #include "util/status.h"
 #include "workloads/graph.h"
@@ -74,10 +81,8 @@ struct WorkloadSolution {
 /// One formulated workload instance. Implementations are immutable after
 /// construction and safe to share across threads (the QUBO is finalized by
 /// the constructor).
-class Workload {
+class Workload : public harness::SolveTarget {
  public:
-  virtual ~Workload() = default;
-
   virtual WorkloadKind kind() const = 0;
 
   /// Display name, e.g. "max_clique(24n/61e, planted 6)".
@@ -85,9 +90,8 @@ class Workload {
 
   virtual const Graph& graph() const = 0;
 
-  /// The QUBO formulation (minimization). Finalized; one binary variable
-  /// per node (k per node for coloring).
-  virtual const qubo::QuboProblem& qubo() const = 0;
+  // qubo() (from SolveTarget): the formulation, finalized; one binary
+  // variable per node (k per node for coloring).
 
   /// Constant such that `qubo().Energy(x) + energy_offset()` is the
   /// workload's penalty-plus-objective energy in canonical form (0 for

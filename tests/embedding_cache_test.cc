@@ -13,6 +13,7 @@
 #include "chimera/topology.h"
 #include "embedding/embedding_cache.h"
 #include "embedding/triad.h"
+#include "harness/mqo_workload.h"
 #include "harness/paper_workload.h"
 #include "harness/quantum_pipeline.h"
 #include "harness/resilient_solver.h"
@@ -367,10 +368,11 @@ TEST_F(CachedPipelineTest, ResilientRetriesReuseTheRequestLayout) {
   EmbeddingCache cache;
   harness::QuantumMqoOptions options = SmallOptions();
   options.embedding_cache = &cache;
+  auto target = harness::MqoWorkload::Create(instance_.problem,
+                                             instance_.embedding, &graph_);
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
   harness::SolveReport report =
-      harness::ResilientSolver(policy).Solve(instance_.problem,
-                                             instance_.embedding, graph_,
-                                             options);
+      harness::ResilientSolver(policy).Solve(**target, options);
   ASSERT_TRUE(report.ok) << report.FailureChain();
   EXPECT_EQ(report.backend, harness::SolveBackend::kDevice);
   EXPECT_EQ(report.total_attempts, 2);

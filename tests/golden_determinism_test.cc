@@ -28,6 +28,7 @@
 #include "anneal/simulated_annealer.h"
 #include "anneal/sqa.h"
 #include "chimera/topology.h"
+#include "harness/mqo_workload.h"
 #include "harness/paper_workload.h"
 #include "harness/resilient_solver.h"
 #include "mqo/serialization.h"
@@ -238,12 +239,13 @@ TEST(GoldenDeterminismTest, CappedSaSnapshot) {
 }
 
 /// One fixed instance per workload kind, solved through the resilient
-/// ladder's bare-QUBO path (`SolveQubo`: SQA answers, device rung gated,
-/// deterministic descent refinement). The snapshot freezes the winning
-/// assignment bits, the energy's IEEE-754 pattern, and the decoded domain
-/// labels — asserted byte-stable at 1/2/4 threads and against the
-/// committed fixture. Fixed seeds, NOT QMQO_CHAOS_SEED: goldens are
-/// committed files, chaos variation lives in workloads_test.
+/// ladder with the workload as its target (SQA answers, device rung gated
+/// for want of a device hint, deterministic descent refinement). The
+/// snapshot freezes the winning assignment bits, the energy's IEEE-754
+/// pattern, and the decoded domain labels — asserted byte-stable at 1/2/4
+/// threads and against the committed fixture. Fixed seeds, NOT
+/// QMQO_CHAOS_SEED: goldens are committed files, chaos variation lives in
+/// workloads_test.
 TEST(GoldenDeterminismTest, WorkloadSolveSnapshots) {
   struct Fixture {
     std::string name;
@@ -284,18 +286,17 @@ TEST(GoldenDeterminismTest, WorkloadSolveSnapshots) {
     for (int threads : kThreadCounts) {
       harness::QuantumMqoOptions options;
       options.device.num_threads = threads;
-      harness::SolveReport report =
-          solver.SolveQubo(fixture.workload->qubo(), options);
+      harness::SolveReport report = solver.Solve(*fixture.workload, options);
       ASSERT_TRUE(report.ok) << fixture.name << ": "
                              << report.FailureChain();
       const workloads::WorkloadSolution decoded =
-          fixture.workload->Decode(report.qubo_assignment);
+          fixture.workload->Decode(report.assignment);
       uint64_t energy_bits;
-      static_assert(sizeof(energy_bits) == sizeof(report.qubo_energy), "");
-      std::memcpy(&energy_bits, &report.qubo_energy, sizeof(energy_bits));
+      static_assert(sizeof(energy_bits) == sizeof(report.cost), "");
+      std::memcpy(&energy_bits, &report.cost, sizeof(energy_bits));
       char energy_text[64];
       std::snprintf(energy_text, sizeof(energy_text), "%.17g",
-                    report.qubo_energy);
+                    report.cost);
       std::ostringstream out;
       out << "{\n";
       out << "  \"workload\": \"" << fixture.name << "\",\n";
@@ -307,7 +308,7 @@ TEST(GoldenDeterminismTest, WorkloadSolveSnapshots) {
       out << "  \"feasible\": " << (decoded.feasible ? "true" : "false")
           << ",\n";
       out << "  \"assignment\": \"";
-      for (uint8_t bit : report.qubo_assignment) out << (bit ? '1' : '0');
+      for (uint8_t bit : report.assignment) out << (bit ? '1' : '0');
       out << "\",\n  \"labels\": [";
       for (size_t i = 0; i < decoded.labels.size(); ++i) {
         out << (i == 0 ? "" : ", ") << decoded.labels[i];
@@ -390,6 +391,10 @@ TEST(GoldenDeterminismTest, MqoLadderSnapshots) {
   workload.saving_scale = 8.0;
   auto instance = harness::GeneratePaperInstance(graph, workload, &rng);
   ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  auto target =
+      harness::MqoWorkload::Create(instance->problem, instance->embedding,
+                                   &graph);
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
 
   // More plan variables than the small chip has qubits: the clustered
   // embedder cannot place it, so the service enters the ladder at SQA.
@@ -435,12 +440,11 @@ TEST(GoldenDeterminismTest, MqoLadderSnapshots) {
     for (const Forced& f : forced) {
       harness::SolvePolicy policy = base;
       policy.ladder = {f.backend};
-      harness::SolveReport report =
-          harness::ResilientSolver(policy).Solve(
-              instance->problem, instance->embedding, graph,
-              options_at(threads));
+      harness::SolveReport report = harness::ResilientSolver(policy).Solve(
+          **target, options_at(threads));
       ASSERT_TRUE(report.ok) << f.name << ": " << report.FailureChain();
-      records.push_back(SerializeLadder(f.name, report, report.solution));
+      records.push_back(SerializeLadder(f.name, report,
+                                        (*target)->Decode(report.assignment)));
     }
     {
       util::FaultInjector faults(20260809);
@@ -450,13 +454,11 @@ TEST(GoldenDeterminismTest, MqoLadderSnapshots) {
       harness::SolvePolicy policy = base;
       policy.faults = &faults;
       policy.backoff_initial_ms = 1.0;
-      harness::SolveReport report =
-          harness::ResilientSolver(policy).Solve(
-              instance->problem, instance->embedding, graph,
-              options_at(threads));
+      harness::SolveReport report = harness::ResilientSolver(policy).Solve(
+          **target, options_at(threads));
       ASSERT_TRUE(report.ok) << report.FailureChain();
-      records.push_back(
-          SerializeLadder("device_program_retry", report, report.solution));
+      records.push_back(SerializeLadder("device_program_retry", report,
+                                        (*target)->Decode(report.assignment)));
     }
     {
       service::ServiceOptions options;

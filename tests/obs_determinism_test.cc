@@ -13,6 +13,7 @@
 #include <string>
 
 #include "chimera/topology.h"
+#include "harness/mqo_workload.h"
 #include "harness/paper_workload.h"
 #include "obs/trace.h"
 #include "service/solve_service.h"
@@ -39,6 +40,10 @@ class ObsDeterminismTest : public ::testing::Test {
     auto instance = harness::GeneratePaperInstance(graph_, workload, &rng);
     EXPECT_TRUE(instance.ok()) << instance.status().ToString();
     instance_ = *std::move(instance);
+    auto target = harness::MqoWorkload::Create(instance_.problem,
+                                               instance_.embedding, &graph_);
+    EXPECT_TRUE(target.ok()) << target.status().ToString();
+    target_ = *std::move(target);
   }
 
   ServiceOptions SmallServiceOptions() const {
@@ -62,6 +67,7 @@ class ObsDeterminismTest : public ::testing::Test {
 
   chimera::ChimeraGraph graph_;
   harness::PaperInstance instance_;
+  std::shared_ptr<const harness::MqoWorkload> target_;
 };
 
 struct ObsDump {
@@ -111,8 +117,7 @@ TEST_F(ObsDeterminismTest, SnapshotsAndTracesAreIdenticalAcrossThreads) {
                                        ? RequestPriority::kInteractive
                                        : RequestPriority::kBatch;
         double deadline = (submitted % 4 == 3) ? 20.0 : 0.0;
-        auto id = service.Submit(instance_.problem, instance_.embedding,
-                                 priority, deadline);
+        auto id = service.Submit(target_, priority, deadline);
         if (id.ok()) ++submitted;
       }
       service.ProcessRound();

@@ -1,12 +1,11 @@
 // Tests for the QUBO/Ising formalism: energies, flip deltas, conversions,
-// exhaustive minimization, and serialization.
+// and exhaustive minimization.
 
 #include <gtest/gtest.h>
 
 #include "qubo/brute_force.h"
 #include "qubo/ising.h"
 #include "qubo/qubo.h"
-#include "qubo/serialization.h"
 #include "util/rng.h"
 
 namespace qmqo {
@@ -263,32 +262,6 @@ TEST_P(QuboBruteForceProperty, GrayCodeMatchesNaiveScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QuboBruteForceProperty,
                          ::testing::Range(0, 10));
-
-// --------------------------------------------------------------------
-// Serialization
-// --------------------------------------------------------------------
-
-TEST(QuboSerializationTest, RoundTrip) {
-  Rng rng(3);
-  QuboProblem problem = RandomQubo(6, 0.5, &rng);
-  auto restored = FromText(ToText(problem));
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->num_vars(), problem.num_vars());
-  for (VarId i = 0; i < problem.num_vars(); ++i) {
-    EXPECT_DOUBLE_EQ(restored->linear(i), problem.linear(i));
-    for (VarId j = i + 1; j < problem.num_vars(); ++j) {
-      EXPECT_DOUBLE_EQ(restored->quadratic(i, j), problem.quadratic(i, j));
-    }
-  }
-}
-
-TEST(QuboSerializationTest, RejectsMalformed) {
-  EXPECT_FALSE(FromText("").ok());
-  EXPECT_FALSE(FromText("qubo v1 2\nlin 5 1.0\nend\n").ok());   // var range
-  EXPECT_FALSE(FromText("qubo v1 2\nquad 0 0 1.0\nend\n").ok());  // i == j
-  EXPECT_FALSE(FromText("qubo v1 2\nlin 0 1.0\n").ok());          // no end
-  EXPECT_FALSE(FromText("qubo v1 2\nbogus 1\nend\n").ok());
-}
 
 }  // namespace
 }  // namespace qubo

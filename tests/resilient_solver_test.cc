@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "chimera/topology.h"
+#include "harness/mqo_workload.h"
 #include "harness/paper_workload.h"
 #include "harness/quantum_pipeline.h"
 #include "harness/resilient_solver.h"
@@ -37,6 +38,10 @@ class ResilientSolverTest : public ::testing::Test {
     auto instance = GeneratePaperInstance(graph_, workload, &rng);
     EXPECT_TRUE(instance.ok()) << instance.status().ToString();
     instance_ = *std::move(instance);
+    auto target =
+        MqoWorkload::Create(instance_.problem, instance_.embedding, &graph_);
+    EXPECT_TRUE(target.ok()) << target.status().ToString();
+    target_ = *std::move(target);
   }
 
   QuantumMqoOptions SmallOptions() const {
@@ -61,13 +66,17 @@ class ResilientSolverTest : public ::testing::Test {
   }
 
   SolveReport Run(const SolvePolicy& policy) const {
-    return ResilientSolver(policy).Solve(instance_.problem,
-                                         instance_.embedding, graph_,
-                                         SmallOptions());
+    return ResilientSolver(policy).Solve(*target_, SmallOptions());
+  }
+
+  /// The plan selection a report's answer encodes.
+  mqo::MqoSolution SolutionOf(const SolveReport& report) const {
+    return target_->Decode(report.assignment);
   }
 
   chimera::ChimeraGraph graph_;
   PaperInstance instance_{};
+  std::shared_ptr<const MqoWorkload> target_;
 };
 
 TEST_F(ResilientSolverTest, NoFaultRunAnswersOnDeviceFirstTry) {
@@ -80,7 +89,7 @@ TEST_F(ResilientSolverTest, NoFaultRunAnswersOnDeviceFirstTry) {
   EXPECT_EQ(report.faults_observed, 0);
   EXPECT_FALSE(report.deadline_exhausted);
   EXPECT_TRUE(
-      mqo::ValidateSolution(instance_.problem, report.solution).ok());
+      mqo::ValidateSolution(instance_.problem, SolutionOf(report)).ok());
 
   // The no-fault resilient answer is exactly the plain pipeline's answer.
   auto plain = SolveQuantumMqo(instance_.problem, instance_.embedding,
@@ -109,7 +118,7 @@ TEST_F(ResilientSolverTest, DeviceDeadChaosStillYieldsValidSolution) {
   ASSERT_TRUE(report.ok) << report.FailureChain();
   EXPECT_NE(report.backend, SolveBackend::kDevice);
   EXPECT_TRUE(
-      mqo::ValidateSolution(instance_.problem, report.solution).ok());
+      mqo::ValidateSolution(instance_.problem, SolutionOf(report)).ok());
   EXPECT_GT(report.faults_observed, 0);
   // Both device attempts failed before a degraded backend answered.
   EXPECT_GE(report.total_attempts, 3);
@@ -138,7 +147,7 @@ TEST_F(ResilientSolverTest, LadderBottomsOutAtGreedyWhenAllSamplersFail) {
   EXPECT_EQ(report.backend, SolveBackend::kGreedy);
   EXPECT_EQ(report.fallbacks, 3);
   EXPECT_TRUE(
-      mqo::ValidateSolution(instance_.problem, report.solution).ok());
+      mqo::ValidateSolution(instance_.problem, SolutionOf(report)).ok());
 }
 
 TEST_F(ResilientSolverTest, EveryBackendFaultedReportsLastError) {
@@ -222,7 +231,7 @@ TEST_F(ResilientSolverTest, ModeledLatencyExhaustsTheDeadline) {
   EXPECT_TRUE(report.deadline_exhausted);
   EXPECT_GE(report.total_modeled_ms, 1e6);
   EXPECT_TRUE(
-      mqo::ValidateSolution(instance_.problem, report.solution).ok());
+      mqo::ValidateSolution(instance_.problem, SolutionOf(report)).ok());
 }
 
 TEST_F(ResilientSolverTest, BackoffIsModeledChargedAndJittered) {
@@ -274,8 +283,10 @@ TEST_F(ResilientSolverTest, ChainBreakStormTriggersFreshGaugeRetry) {
   SolvePolicy policy = QuickPolicy();
   policy.faults = &faults;
   policy.chain_break_storm_fraction = 0.05;
-  SolveReport report = ResilientSolver(policy).Solve(
-      instance->problem, instance->embedding, graph_, SmallOptions());
+  auto target =
+      MqoWorkload::Create(instance->problem, instance->embedding, &graph_);
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
+  SolveReport report = ResilientSolver(policy).Solve(**target, SmallOptions());
 
   ASSERT_TRUE(report.ok) << report.FailureChain();
   // Every device read is corrupted, so both device attempts are classified
@@ -295,7 +306,7 @@ TEST_F(ResilientSolverTest, CustomLadderIsHonored) {
   ASSERT_TRUE(report.ok) << report.FailureChain();
   EXPECT_EQ(report.backend, SolveBackend::kSa);
   EXPECT_TRUE(
-      mqo::ValidateSolution(instance_.problem, report.solution).ok());
+      mqo::ValidateSolution(instance_.problem, SolutionOf(report)).ok());
 }
 
 TEST_F(ResilientSolverTest, BackendNamesAreStable) {
@@ -321,9 +332,7 @@ TEST_F(ResilientSolverTest, ReportDeterministicAcrossRunsAndThreadCounts) {
     policy.backoff_initial_ms = 10.0;
     QuantumMqoOptions options = SmallOptions();
     options.device.num_threads = threads;
-    return ResilientSolver(policy).Solve(instance_.problem,
-                                         instance_.embedding, graph_,
-                                         options);
+    return ResilientSolver(policy).Solve(*target_, options);
   };
 
   SolveReport reference = run_chaos(1);
@@ -336,7 +345,8 @@ TEST_F(ResilientSolverTest, ReportDeterministicAcrossRunsAndThreadCounts) {
     EXPECT_EQ(reference.fallbacks, other.fallbacks) << threads;
     EXPECT_EQ(reference.faults_observed, other.faults_observed) << threads;
     EXPECT_EQ(reference.cost, other.cost) << threads;
-    EXPECT_EQ(reference.solution.selections(), other.solution.selections())
+    EXPECT_EQ(SolutionOf(reference).selections(),
+              SolutionOf(other).selections())
         << threads;
     ASSERT_EQ(reference.attempts.size(), other.attempts.size()) << threads;
     for (size_t i = 0; i < reference.attempts.size(); ++i) {
@@ -375,7 +385,7 @@ TEST_F(ResilientSolverTest, RandomChaosAlwaysYieldsValidSolution) {
     ASSERT_TRUE(report.ok) << report.FailureChain();
     EXPECT_TRUE(report.final_status.ok());
     EXPECT_TRUE(
-        mqo::ValidateSolution(instance_.problem, report.solution).ok())
+        mqo::ValidateSolution(instance_.problem, SolutionOf(report)).ok())
         << report.FailureChain();
     EXPECT_EQ(report.total_attempts,
               static_cast<int>(report.attempts.size()));

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "chimera/topology.h"
+#include "harness/mqo_workload.h"
 #include "harness/paper_workload.h"
 #include "harness/quantum_pipeline.h"
 #include "harness/resilient_solver.h"
@@ -46,6 +47,10 @@ class SolveServiceTest : public ::testing::Test {
     auto instance = harness::GeneratePaperInstance(graph_, workload, &rng);
     EXPECT_TRUE(instance.ok()) << instance.status().ToString();
     instance_ = *std::move(instance);
+    auto target = harness::MqoWorkload::Create(instance_.problem,
+                                               instance_.embedding, &graph_);
+    EXPECT_TRUE(target.ok()) << target.status().ToString();
+    target_ = *std::move(target);
   }
 
   ServiceOptions SmallServiceOptions() const {
@@ -69,12 +74,13 @@ class SolveServiceTest : public ::testing::Test {
 
   chimera::ChimeraGraph graph_;
   harness::PaperInstance instance_;
+  std::shared_ptr<const harness::MqoWorkload> target_;
 };
 
 TEST_F(SolveServiceTest, DrainSolvesEverythingOnTheDevice) {
   SolveService service(SmallServiceOptions());
   for (int i = 0; i < 3; ++i) {
-    auto id = service.Submit(instance_.problem, instance_.embedding);
+    auto id = service.Submit(target_);
     ASSERT_TRUE(id.ok()) << id.status().ToString();
     EXPECT_EQ(*id, static_cast<uint64_t>(i + 1));
   }
@@ -98,7 +104,7 @@ TEST_F(SolveServiceTest, DrainSolvesEverythingOnTheDevice) {
 TEST_F(SolveServiceTest, NoFaultPathMatchesDirectPipelineBitExactly) {
   ServiceOptions options = SmallServiceOptions();
   SolveService service(options);
-  ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
+  ASSERT_TRUE(service.Submit(target_).ok());
   ASSERT_EQ(service.DrainAll(), 1);
   const SolveOutcome& outcome = service.outcomes()[0];
   ASSERT_TRUE(outcome.status.ok()) << outcome.detail;
@@ -118,7 +124,7 @@ TEST_F(SolveServiceTest, NoFaultPathMatchesDirectPipelineBitExactly) {
 TEST_F(SolveServiceTest, SubmitTextRoundTripMatchesDirectSubmit) {
   SolveService a(SmallServiceOptions());
   SolveService b(SmallServiceOptions());
-  ASSERT_TRUE(a.Submit(instance_.problem, instance_.embedding).ok());
+  ASSERT_TRUE(a.Submit(target_).ok());
   auto id = b.SubmitText(mqo::ToText(instance_.problem));
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   ASSERT_EQ(a.DrainAll(), 1);
@@ -144,9 +150,9 @@ TEST_F(SolveServiceTest, FullQueueRejectsWithResourceExhausted) {
   ServiceOptions options = SmallServiceOptions();
   options.queue_capacity = 2;
   SolveService service(options);
-  ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
-  ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
-  auto rejected = service.Submit(instance_.problem, instance_.embedding);
+  ASSERT_TRUE(service.Submit(target_).ok());
+  ASSERT_TRUE(service.Submit(target_).ok());
+  auto rejected = service.Submit(target_);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(service.stats().rejected_queue_full, 1);
@@ -159,12 +165,9 @@ TEST_F(SolveServiceTest, InteractiveLaneDequeuesAheadOfBatch) {
   ServiceOptions options = SmallServiceOptions();
   options.round_width = 1;
   SolveService service(options);
-  auto batch1 = service.Submit(instance_.problem, instance_.embedding,
-                               RequestPriority::kBatch);
-  auto batch2 = service.Submit(instance_.problem, instance_.embedding,
-                               RequestPriority::kBatch);
-  auto interactive = service.Submit(instance_.problem, instance_.embedding,
-                                    RequestPriority::kInteractive);
+  auto batch1 = service.Submit(target_, RequestPriority::kBatch);
+  auto batch2 = service.Submit(target_, RequestPriority::kBatch);
+  auto interactive = service.Submit(target_, RequestPriority::kInteractive);
   ASSERT_TRUE(batch1.ok() && batch2.ok() && interactive.ok());
   ASSERT_EQ(service.ProcessRound(), 1);
   EXPECT_EQ(service.outcomes()[0].id, *interactive);
@@ -185,9 +188,8 @@ TEST_F(SolveServiceTest, QueueStallExpiresDeadlinedRequestsWithoutSolving) {
   options.faults = &faults;
   SolveService service(options);
   auto doomed =
-      service.Submit(instance_.problem, instance_.embedding,
-                     RequestPriority::kBatch, /*deadline_ms=*/50.0);
-  auto patient = service.Submit(instance_.problem, instance_.embedding);
+      service.Submit(target_, RequestPriority::kBatch, /*deadline_ms=*/50.0);
+  auto patient = service.Submit(target_);
   ASSERT_TRUE(doomed.ok() && patient.ok());
   EXPECT_EQ(service.DrainAll(), 2);
 
@@ -209,7 +211,7 @@ TEST_F(SolveServiceTest, QueuePressureShedsTheEntryRung) {
   options.round_width = 4;
   SolveService service(options);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
+    ASSERT_TRUE(service.Submit(target_).ok());
   }
   ASSERT_EQ(service.ProcessRound(), 4);
   // All four were claimed by an overfilled round: device rung shed, SQA
@@ -223,7 +225,7 @@ TEST_F(SolveServiceTest, QueuePressureShedsTheEntryRung) {
     EXPECT_TRUE(outcome.shed_degraded);
   }
   // Pressure gone: the next request gets the full ladder again.
-  ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
+  ASSERT_TRUE(service.Submit(target_).ok());
   ASSERT_EQ(service.ProcessRound(), 1);
   EXPECT_EQ(
       service.stats().answered_by[static_cast<int>(SolveBackend::kDevice)], 1);
@@ -249,7 +251,7 @@ TEST_F(SolveServiceTest, BreakerOpensOnDeviceFailuresThenRecovers) {
   // Two failing device attempts open the breaker; the third request skips
   // the device rung at admission without burning an attempt on it.
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
+    ASSERT_TRUE(service.Submit(target_).ok());
     ASSERT_EQ(service.ProcessRound(), 1);
   }
   EXPECT_EQ(service.breaker(SolveBackend::kDevice).state(),
@@ -269,7 +271,7 @@ TEST_F(SolveServiceTest, BreakerOpensOnDeviceFailuresThenRecovers) {
   stall.latency_ms = 10.0;
   faults.Arm("service.queue_stall", stall);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
+    ASSERT_TRUE(service.Submit(target_).ok());
     ASSERT_EQ(service.ProcessRound(), 1);
   }
   EXPECT_EQ(service.breaker(SolveBackend::kDevice).state(),
@@ -288,8 +290,8 @@ TEST_F(SolveServiceTest, WorkerCrashFaultFailsOnlyThatRequest) {
   ServiceOptions options = SmallServiceOptions();
   options.faults = &faults;
   SolveService service(options);
-  ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
-  ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
+  ASSERT_TRUE(service.Submit(target_).ok());
+  ASSERT_TRUE(service.Submit(target_).ok());
   EXPECT_EQ(service.DrainAll(), 2);
   EXPECT_EQ(service.outcomes()[0].status.code(), StatusCode::kInternal);
   EXPECT_TRUE(service.outcomes()[1].status.ok());
@@ -303,7 +305,7 @@ TEST_F(SolveServiceTest, FailFastShutdownLeaksNothingAndStopsAdmission) {
   options.round_width = 4;
   SolveService service(options);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
+    ASSERT_TRUE(service.Submit(target_).ok());
   }
   ASSERT_EQ(service.ProcessRound(), 4);
   EXPECT_EQ(service.Shutdown(/*graceful=*/false), 1);
@@ -315,7 +317,7 @@ TEST_F(SolveServiceTest, FailFastShutdownLeaksNothingAndStopsAdmission) {
             StatusCode::kUnavailable);
   EXPECT_FALSE(service.accepting());
 
-  auto late = service.Submit(instance_.problem, instance_.embedding);
+  auto late = service.Submit(target_);
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(service.stats().rejected_shutdown, 1);
@@ -324,7 +326,7 @@ TEST_F(SolveServiceTest, FailFastShutdownLeaksNothingAndStopsAdmission) {
 TEST_F(SolveServiceTest, GracefulShutdownDrainsFirst) {
   SolveService service(SmallServiceOptions());
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
+    ASSERT_TRUE(service.Submit(target_).ok());
   }
   EXPECT_EQ(service.Shutdown(/*graceful=*/true), 3);
   EXPECT_EQ(service.stats().completed_ok, 3);
@@ -380,8 +382,7 @@ TEST_F(SolveServiceTest, ChaosRunIsIdenticalAcrossWorkerThreads) {
         // Every fourth request carries a deadline shorter than one queue
         // stall, so it deterministically expires before scheduling.
         double deadline = (submitted % 4 == 3) ? 20.0 : 0.0;
-        auto id = service.Submit(instance_.problem, instance_.embedding,
-                                 priority, deadline);
+        auto id = service.Submit(target_, priority, deadline);
         if (id.ok()) ++submitted;
       }
       service.ProcessRound();

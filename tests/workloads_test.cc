@@ -371,9 +371,10 @@ TEST(ExactRecoveryTest, ColoringGroundStateIsConflictFree) {
 }
 
 // --------------------------------------------------------------------
-// End-to-end through the resilient ladder (SolveQubo): SQA answers with
-// the device rung gated, the decoded answer is feasible, and the planted
-// optimum is recovered on these instance sizes.
+// End-to-end through the resilient ladder (`ResilientSolver::Solve` on the
+// workload as its target): SQA answers with the device rung gated, the
+// decoded answer is feasible, and the planted optimum is recovered on
+// these instance sizes.
 // --------------------------------------------------------------------
 
 harness::SolvePolicy LadderPolicy() {
@@ -388,7 +389,7 @@ harness::SolvePolicy LadderPolicy() {
   return policy;
 }
 
-TEST(LadderTest, SolveQuboGatesDeviceAndRecoversPlantedOptima) {
+TEST(LadderTest, SolveGatesDeviceAndRecoversPlantedOptima) {
   std::vector<std::shared_ptr<Workload>> workloads;
   {
     auto clique =
@@ -409,7 +410,7 @@ TEST(LadderTest, SolveQuboGatesDeviceAndRecoversPlantedOptima) {
   harness::ResilientSolver solver(LadderPolicy());
   harness::QuantumMqoOptions options;
   for (const auto& workload : workloads) {
-    harness::SolveReport report = solver.SolveQubo(workload->qubo(), options);
+    harness::SolveReport report = solver.Solve(*workload, options);
     ASSERT_TRUE(report.ok) << workload->name() << ": "
                            << report.FailureChain();
     // The device rung was gated with a typed skip, not attempted.
@@ -419,9 +420,9 @@ TEST(LadderTest, SolveQuboGatesDeviceAndRecoversPlantedOptima) {
     EXPECT_EQ(report.attempts.front().status.code(),
               StatusCode::kUnimplemented);
     EXPECT_EQ(report.backend, harness::SolveBackend::kSqa);
-    EXPECT_EQ(static_cast<int>(report.qubo_assignment.size()),
+    EXPECT_EQ(static_cast<int>(report.assignment.size()),
               workload->qubo().num_vars());
-    WorkloadSolution solution = workload->Decode(report.qubo_assignment);
+    WorkloadSolution solution = workload->Decode(report.assignment);
     EXPECT_TRUE(solution.feasible) << workload->name();
     EXPECT_TRUE(workload->ValidateFeasible(solution).ok())
         << workload->name();
@@ -431,7 +432,7 @@ TEST(LadderTest, SolveQuboGatesDeviceAndRecoversPlantedOptima) {
   }
 }
 
-TEST(LadderTest, SolveQuboIsBitIdenticalAcrossThreadCounts) {
+TEST(LadderTest, SolveIsBitIdenticalAcrossThreadCounts) {
   auto workload = MaxCliqueWorkload::MakePlanted(20, 5, 0.3, ChaosSeed() + 23);
   ASSERT_TRUE(workload.ok());
   harness::ResilientSolver solver(LadderPolicy());
@@ -440,17 +441,16 @@ TEST(LadderTest, SolveQuboIsBitIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 4}) {
     harness::QuantumMqoOptions options;
     options.device.num_threads = threads;
-    harness::SolveReport report =
-        solver.SolveQubo((*workload)->qubo(), options);
+    harness::SolveReport report = solver.Solve(**workload, options);
     ASSERT_TRUE(report.ok) << report.FailureChain();
     if (threads == 1) {
-      serial_assignment = report.qubo_assignment;
-      serial_energy = report.qubo_energy;
+      serial_assignment = report.assignment;
+      serial_energy = report.cost;
       continue;
     }
-    EXPECT_EQ(report.qubo_assignment, serial_assignment)
+    EXPECT_EQ(report.assignment, serial_assignment)
         << "threads=" << threads;
-    EXPECT_EQ(report.qubo_energy, serial_energy) << "threads=" << threads;
+    EXPECT_EQ(report.cost, serial_energy) << "threads=" << threads;
   }
 }
 
@@ -467,11 +467,11 @@ TEST(LadderTest, ChaosFaultsDegradeToGreedyWhichStillAnswers) {
   ASSERT_TRUE(workload.ok());
   harness::QuantumMqoOptions options;
   harness::SolveReport report =
-      harness::ResilientSolver(policy).SolveQubo((*workload)->qubo(), options);
+      harness::ResilientSolver(policy).Solve(**workload, options);
   ASSERT_TRUE(report.ok) << report.FailureChain();
   EXPECT_EQ(report.backend, harness::SolveBackend::kGreedy);
   EXPECT_GT(report.faults_observed, 0);
-  WorkloadSolution solution = (*workload)->Decode(report.qubo_assignment);
+  WorkloadSolution solution = (*workload)->Decode(report.assignment);
   EXPECT_TRUE(solution.feasible);
   EXPECT_TRUE((*workload)->ValidateFeasible(solution).ok());
 }
@@ -637,8 +637,8 @@ TEST(ServiceWorkloadTest, MixedMqoAndWorkloadRoundsAreDeterministic) {
     service::ServiceOptions options = WorkloadServiceOptions(&graph);
     options.num_threads = threads;
     service::SolveService service(options);
-    ASSERT_TRUE(service.SubmitWorkload(*cut).ok());
-    ASSERT_TRUE(service.SubmitWorkload(*coloring).ok());
+    ASSERT_TRUE(service.Submit(*cut).ok());
+    ASSERT_TRUE(service.Submit(*coloring).ok());
     service.DrainAll();
     ASSERT_EQ(service.outcomes().size(), 2u);
     std::vector<int> labels;
@@ -666,15 +666,15 @@ TEST(ServiceWorkloadTest, WorkloadAcceptedCounterByKind) {
   auto cut = MaxCutWorkload::Create(cut_instance->graph,
                                     cut_instance->graph.total_weight());
   ASSERT_TRUE(cut.ok());
-  ASSERT_TRUE(service.SubmitWorkload(*cut).ok());
-  ASSERT_TRUE(service.SubmitWorkload(*cut).ok());
+  ASSERT_TRUE(service.Submit(*cut).ok());
+  ASSERT_TRUE(service.Submit(*cut).ok());
   const std::string prometheus = service.metrics().PrometheusText();
   EXPECT_NE(prometheus.find(
                 "qmqo_service_workload_accepted_total{kind=\"max_cut\"} 2"),
             std::string::npos)
       << prometheus;
   // Null workloads are invalid, not a crash.
-  Result<uint64_t> null_submit = service.SubmitWorkload(nullptr);
+  Result<uint64_t> null_submit = service.Submit(nullptr);
   EXPECT_FALSE(null_submit.ok());
   EXPECT_EQ(null_submit.status().code(), StatusCode::kInvalidArgument);
 }
