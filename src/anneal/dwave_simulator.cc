@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "anneal/gauge.h"
 #include "anneal/parallel.h"
+#include "anneal/sweep_kernel.h"
 #include "util/fault.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -213,46 +213,40 @@ Result<DeviceResult> DWaveSimulator::Sample(
       beta.start = hot;
       beta.end = cold;
       programmed.Finalize();  // shared read-only across worker threads
-      // The checkerboard kernels share one per-programming coloring across
-      // the gauge's reads; the scalar kernel skips it.
-      std::optional<SweepPlan> plan;
-      if (options_.sweep_kernel != SweepKernel::kScalar) {
-        plan.emplace(programmed);
-      }
-      const SweepPlan* plan_ptr = plan ? &*plan : nullptr;
       // Per-read slots keep `raw_reads` chronological regardless of which
       // worker executes a read: the arena is sized up front, so workers
       // pack their own disjoint word ranges with no append racing them.
-      // Dropped reads leave zero slots that the serial compaction below
-      // skips.
+      // Dropped reads are never annealed and leave zero slots that the
+      // serial compaction below skips.
       PackedAssignments gauge_raw(converted.ising.num_spins());
       if (options_.record_reads) gauge_raw.Resize(reads);
       SampleSet gauge_samples = RunReads(
           reads, options_.num_threads,
-          [&, beta](int read, SampleSet* local) {
-            if (!drop_mask.empty() && drop_mask[static_cast<size_t>(read)]) {
-              return;  // read lost at the (simulated) readout stage
-            }
-            Rng read_rng = gauge_rng.Fork(static_cast<uint64_t>(read));
-            std::vector<int8_t> spins(
-                static_cast<size_t>(programmed.num_spins()));
-            InitSpins(options_.sweep_kernel, &read_rng, &spins);
-            RunSweeps(programmed, plan_ptr, beta, options_.sa_sweeps,
-                      options_.sweep_kernel, &read_rng, &spins);
-            std::vector<int8_t> restored = gauge.RestoreSpins(spins);
-            if (faults != nullptr) {
-              ApplyReadFaults(
-                  faults, stuck, any_stuck,
-                  !corrupt_mask.empty() &&
-                      corrupt_mask[static_cast<size_t>(read)] != 0,
-                  ReadFaultKey(epoch, read_base + read), &restored);
-            }
-            // True energy on the customer's problem, not the noisy one.
-            double energy = physical.EnergySpins(restored);
-            if (options_.record_reads) {
-              gauge_raw.StoreSpins(read, restored);
-            }
-            local->AddSpins(restored, energy);
+          [&, beta](int begin, int end, SampleSet* local) {
+            AnnealReads(
+                programmed, beta, options_.sa_sweeps, gauge_rng, begin, end,
+                [&](int read) {
+                  // Read lost at the (simulated) readout stage.
+                  return !drop_mask.empty() &&
+                         drop_mask[static_cast<size_t>(read)] != 0;
+                },
+                [&](int read, const std::vector<int8_t>& spins) {
+                  std::vector<int8_t> restored = gauge.RestoreSpins(spins);
+                  if (faults != nullptr) {
+                    ApplyReadFaults(
+                        faults, stuck, any_stuck,
+                        !corrupt_mask.empty() &&
+                            corrupt_mask[static_cast<size_t>(read)] != 0,
+                        ReadFaultKey(epoch, read_base + read), &restored);
+                  }
+                  // True energy on the customer's problem, not the noisy
+                  // one.
+                  double energy = physical.EnergySpins(restored);
+                  if (options_.record_reads) {
+                    gauge_raw.StoreSpins(read, restored);
+                  }
+                  local->AddSpins(restored, energy);
+                });
           },
           executor, options_.max_samples);
       result.samples.Append(std::move(gauge_samples));
@@ -273,7 +267,6 @@ Result<DeviceResult> DWaveSimulator::Sample(
       sqa_options.seed = gauge_rng.Next();
       sqa_options.num_threads = options_.num_threads;
       sqa_options.executor = executor;
-      sqa_options.sweep_kernel = options_.sweep_kernel;
       sqa_options.max_samples = options_.max_samples;
       SimulatedQuantumAnnealer sqa(sqa_options);
       SampleSet gauge_samples = sqa.SampleIsing(programmed);

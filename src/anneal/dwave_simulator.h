@@ -2,8 +2,10 @@
 #define QMQO_ANNEAL_DWAVE_SIMULATOR_H_
 
 /// \file dwave_simulator.h
-/// A software model of the D-Wave 2X device (the hardware substitution for
-/// this reproduction; see DESIGN.md).
+/// A software model of the D-Wave 2X device. This reproduction has no
+/// annealer hardware: the device is replaced by simulated annealing (or
+/// SQA) on the programmed Ising problem, wrapped in the device's input
+/// format, weight ranges, control errors, gauges, and timing model.
 ///
 /// What the model reproduces about the real device:
 ///  * input format: a physical QUBO (already embedded onto the hardware
@@ -75,20 +77,17 @@ struct DWaveOptions {
   bool record_reads = false;
   uint64_t seed = 7;
   /// Worker threads for the read loop within each programming cycle:
-  /// 1 = serial (default, keeps `wall_clock_ms` comparable across
-  /// machines), 0 = hardware concurrency. Results are bit-identical for
-  /// every thread count (see anneal/parallel.h).
+  /// 1 = serial (default), 0 = hardware concurrency. Results are
+  /// bit-identical for every thread count (see anneal/parallel.h). Serial
+  /// `wall_clock_ms` is comparable only across machines that agree on
+  /// AVX2: with it, the SA backend anneals four reads per pass (see
+  /// anneal/sweep_kernel.h).
   int num_threads = 1;
   /// Worker pool shared by all gauges of a `Sample` call (and by the SQA
   /// backend); null = the process-wide `util::Executor::Shared()` pool.
   /// Either way the pool is created once and reused — a device call spawns
   /// zero threads per gauge. Never owned.
   util::Executor* executor = nullptr;
-  /// Metropolis sweep kernel for both backends (see anneal/sweep_kernel.h):
-  /// `kScalar` (default) keeps the frozen bit-exact streams; the
-  /// checkerboard kernels trade them for throughput. Gauge transforms,
-  /// control-error noise, and read forking are kernel-independent.
-  SweepKernel sweep_kernel = SweepKernel::kScalar;
   /// Streaming top-k retention for `DeviceResult::samples` (0 = unlimited),
   /// applied per gauge and to the final union; `raw_reads` is unaffected.
   /// See SaOptions::max_samples.

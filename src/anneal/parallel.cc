@@ -7,9 +7,10 @@
 namespace qmqo {
 namespace anneal {
 
-SampleSet RunReads(int num_reads, int num_threads,
-                   const std::function<void(int, SampleSet*)>& run_read,
-                   util::Executor* executor, int max_samples) {
+SampleSet RunReads(
+    int num_reads, int num_threads,
+    const std::function<void(int begin, int end, SampleSet*)>& run_reads,
+    util::Executor* executor, int max_samples) {
   SampleSet out;
   out.set_max_samples(max_samples);
   if (num_reads <= 0) {
@@ -18,9 +19,7 @@ SampleSet RunReads(int num_reads, int num_threads,
   }
   const int workers = std::min(ResolveNumThreads(num_threads), num_reads);
   if (workers == 1) {
-    for (int read = 0; read < num_reads; ++read) {
-      run_read(read, &out);
-    }
+    run_reads(0, num_reads, &out);
     out.Finalize();
     return out;
   }
@@ -35,10 +34,8 @@ SampleSet RunReads(int num_reads, int num_threads,
   for (SampleSet& local : locals) local.set_max_samples(max_samples);
   pool.ParallelFor(num_reads, workers,
                    [&](int begin, int end, int chunk) {
-                     SampleSet* local = &locals[static_cast<size_t>(chunk)];
-                     for (int read = begin; read < end; ++read) {
-                       run_read(read, local);
-                     }
+                     run_reads(begin, end,
+                               &locals[static_cast<size_t>(chunk)]);
                    });
   for (SampleSet& local : locals) {
     out.Append(std::move(local));

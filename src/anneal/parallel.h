@@ -33,10 +33,12 @@ namespace anneal {
 /// concurrency (at least 1).
 using util::ResolveNumThreads;
 
-/// Runs `run_read(read, &local)` for every read in [0, num_reads) across up
-/// to `num_threads` concurrent chunks (0 = auto) and returns the finalized
-/// union of the chunk-local sets. `run_read` must not touch shared mutable
-/// state; exceptions thrown by a worker are rethrown on the calling thread.
+/// Splits [0, num_reads) into up to `num_threads` contiguous chunks (0 =
+/// auto), calls `run_reads(begin, end, &local)` once per chunk, and returns
+/// the finalized union of the chunk-local sets. Handing a chunk its whole
+/// range lets a sampler anneal several reads at once (see
+/// `AnnealReads`). `run_reads` must not touch shared mutable state;
+/// exceptions thrown by a worker are rethrown on the calling thread.
 /// `num_threads == 1` runs inline without touching any pool. `executor` is
 /// the pool to run on; null means the process-wide shared pool. No threads
 /// are ever spawned by this call itself. A positive `max_samples` applies
@@ -44,9 +46,10 @@ using util::ResolveNumThreads;
 /// chunk-local sets and the returned union — the retained top-k stays
 /// exact and bit-identical at any thread count, because an overall-top-k
 /// assignment ranks in the top-k of every chunk it appears in.
-SampleSet RunReads(int num_reads, int num_threads,
-                   const std::function<void(int, SampleSet*)>& run_read,
-                   util::Executor* executor = nullptr, int max_samples = 0);
+SampleSet RunReads(
+    int num_reads, int num_threads,
+    const std::function<void(int begin, int end, SampleSet*)>& run_reads,
+    util::Executor* executor = nullptr, int max_samples = 0);
 
 }  // namespace anneal
 }  // namespace qmqo

@@ -1,10 +1,7 @@
 #include "anneal/simulated_annealer.h"
 
-#include <cassert>
-#include <cmath>
-#include <optional>
-
 #include "anneal/parallel.h"
+#include "anneal/sweep_kernel.h"
 
 namespace qmqo {
 namespace anneal {
@@ -24,25 +21,17 @@ Schedule ResolveBeta(const qubo::IsingProblem& ising, const Schedule& beta) {
 SampleSet SimulatedAnnealer::SampleIsing(const qubo::IsingProblem& ising) const {
   Schedule beta = ResolveBeta(ising, options_.beta);
   ising.Finalize();  // shared across worker threads
-  Rng rng(options_.seed);
-  const size_t n = static_cast<size_t>(ising.num_spins());
-  // The color classes are a per-problem precomputation shared (read-only)
-  // by every read; the scalar kernel never needs them.
-  std::optional<SweepPlan> plan;
-  if (options_.sweep_kernel != SweepKernel::kScalar) plan.emplace(ising);
-  const SweepPlan* plan_ptr = plan ? &*plan : nullptr;
+  const Rng rng(options_.seed);
   return RunReads(
       options_.num_reads, options_.num_threads,
-      [&, beta](int read, SampleSet* local) {
-        Rng read_rng = rng.Fork(static_cast<uint64_t>(read));
-        std::vector<int8_t> spins(n);
-        InitSpins(options_.sweep_kernel, &read_rng, &spins);
-        RunSweeps(ising, plan_ptr, beta, options_.sweeps_per_read,
-                  options_.sweep_kernel, &read_rng, &spins, options_.executor,
-                  options_.sweep_threads);
+      [&, beta](int begin, int end, SampleSet* local) {
         // Read-out appends the spins bit-packed into the chunk-local
         // arena: no per-read byte vector, no per-sample heap allocation.
-        local->AddSpins(spins, ising.Energy(spins));
+        AnnealReads(ising, beta, options_.sweeps_per_read, rng, begin, end,
+                    nullptr,
+                    [&](int, const std::vector<int8_t>& spins) {
+                      local->AddSpins(spins, ising.Energy(spins));
+                    });
       },
       options_.executor, options_.max_samples);
 }

@@ -14,7 +14,6 @@
 
 #include "anneal/sample_set.h"
 #include "anneal/schedule.h"
-#include "anneal/sweep_kernel.h"
 #include "qubo/ising.h"
 #include "qubo/qubo.h"
 #include "util/rng.h"
@@ -36,24 +35,14 @@ struct SaOptions {
   /// `SuggestBetaRange` heuristic per problem.
   Schedule beta{0.0, 0.0, ScheduleShape::kGeometric};
   uint64_t seed = 1;
-  /// Worker threads for the read loop: 1 = serial (default, keeps
-  /// wall-clock measurements comparable across machines), 0 = hardware
-  /// concurrency. Results are bit-identical for every thread count (see
+  /// Worker threads for the read loop: 1 = serial (default; wall-clock
+  /// measurements then still depend on whether the host has AVX2, see
+  /// `ScalarLanesSupported`), 0 = hardware concurrency. Results are bit-identical for every thread count (see
   /// anneal/parallel.h).
   int num_threads = 1;
   /// Worker pool to fan reads across when `num_threads != 1`; null = the
   /// process-wide `util::Executor::Shared()` pool. Never owned.
   util::Executor* executor = nullptr;
-  /// Metropolis sweep implementation (see anneal/sweep_kernel.h). The
-  /// default `kScalar` is the bit-exact reference; the checkerboard
-  /// kernels trade the frozen random stream for throughput (and, with
-  /// `kCheckerboardFast`, a bounded-error exp).
-  SweepKernel sweep_kernel = SweepKernel::kScalar;
-  /// Concurrent chunks for the checkerboard kernels' per-class decide loop
-  /// *within* one read (single-read latency): 1 = inline (default), 0 =
-  /// hardware concurrency. Results are bit-identical at any value; ignored
-  /// by `kScalar`. Runs on the same `executor` as the read fan-out.
-  int sweep_threads = 1;
   /// Streaming top-k retention: keep only the best `max_samples` distinct
   /// assignments (0 = unlimited). Top-k membership, energies, and
   /// occurrence counts are exact and thread-count independent;

@@ -22,7 +22,6 @@
 
 #include "anneal/sample_set.h"
 #include "anneal/schedule.h"
-#include "anneal/sweep_kernel.h"
 #include "qubo/ising.h"
 #include "qubo/qubo.h"
 #include "util/rng.h"
@@ -55,11 +54,6 @@ struct SqaOptions {
   /// Worker pool to fan reads across when `num_threads != 1`; null = the
   /// process-wide `util::Executor::Shared()` pool. Never owned.
   util::Executor* executor = nullptr;
-  /// Sweep kernel for the single-site slice sweeps and global moves (see
-  /// anneal/sweep_kernel.h): `kScalar` is the frozen bit-exact reference;
-  /// the checkerboard kernels sweep each slice in color order with batched
-  /// per-class uniforms (and, for `kCheckerboardFast`, `FastExp`).
-  SweepKernel sweep_kernel = SweepKernel::kScalar;
   /// Streaming top-k retention for the returned SampleSet (0 = unlimited);
   /// see SaOptions::max_samples.
   int max_samples = 0;

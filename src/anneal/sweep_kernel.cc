@@ -1,40 +1,294 @@
 #include "anneal/sweep_kernel.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
+#include <random>
 
-#include "util/executor.h"
+// The lanes reproduce libstdc++'s UniformReal, so other standard libraries
+// keep the scalar loop.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    defined(__GLIBCXX__)
+#define QMQO_SCALAR_LANES 1
+#include <immintrin.h>
+#else
+#define QMQO_SCALAR_LANES 0
+#endif
 
 namespace qmqo {
 namespace anneal {
 namespace {
 
-/// The original per-spin loop, byte-for-byte the pre-kernel-layer
-/// implementation: ascending spin order, lazy per-proposal draws, exact
-/// `std::exp`, incremental local fields. Its random stream is the frozen
-/// bit-exactness contract of the default path.
-void ScalarSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
-                  int sweeps, Rng* rng, std::vector<int8_t>* spins) {
+constexpr int kLanes = 4;
+
+/// Initial local fields field[i] = h_i + sum_j J_ij s_j, summed in CSR
+/// order — the scalar loop's and every lane's starting point.
+void InitFields(const qubo::IsingProblem& ising, const int8_t* s,
+                double* field, int stride) {
+  const qubo::CsrGraph& csr = ising.csr();
+  const int32_t* offsets = csr.row_offsets.data();
+  const qubo::VarId* ids = csr.neighbor_ids.data();
+  const double* weights = csr.weights.data();
+  const double* h = ising.fields().data();
+  for (qubo::VarId i = 0; i < ising.num_spins(); ++i) {
+    double f = h[i];
+    for (int32_t e = offsets[i]; e < offsets[i + 1]; ++e) {
+      f += weights[e] * static_cast<double>(s[ids[e]]);
+    }
+    field[static_cast<size_t>(i) * static_cast<size_t>(stride)] = f;
+  }
+}
+
+#if QMQO_SCALAR_LANES
+
+// Every vector-typed value lives inside an AVX2-targeted function: the
+// helpers below are always inlined into their AVX2 callers, so no vector
+// crosses a call, and nothing outside this file is compiled for AVX2.
+#define QMQO_AVX2 __attribute__((target("avx2")))
+#define QMQO_AVX2_INLINE \
+  __attribute__((target("avx2"), always_inline)) inline
+
+/// Engine words buffered per lane between refills.
+constexpr int kDrawBuffer = 256;
+/// Relative half-width of the screen band around FastExp(x); 20x the
+/// FastExp error bound.
+constexpr double kScreenBand = 1e-5;
+/// Below this argument the screen defers to std::exp.
+constexpr double kScreenMinArg = -700.0;
+
+/// FastExp on four lanes, the same operations in the same order.
+QMQO_AVX2_INLINE __m256d FastExp4(__m256d x) {
+  // max(c, x) is `c > x ? c : x`: FastExp's clamp, NaN passing through.
+  x = _mm256_max_pd(_mm256_set1_pd(-708.0), x);
+  const __m256d magic = _mm256_set1_pd(6755399441055744.0);
+  const __m256d shifted = _mm256_add_pd(
+      _mm256_mul_pd(x, _mm256_set1_pd(1.4426950408889634)), magic);
+  const __m256d r = _mm256_sub_pd(
+      x, _mm256_mul_pd(_mm256_sub_pd(shifted, magic),
+                       _mm256_set1_pd(0.6931471805599453)));
+  __m256d p = _mm256_mul_pd(r, _mm256_set1_pd(1.0 / 720.0));
+  p = _mm256_mul_pd(r, _mm256_add_pd(_mm256_set1_pd(1.0 / 120.0), p));
+  p = _mm256_mul_pd(r, _mm256_add_pd(_mm256_set1_pd(1.0 / 24.0), p));
+  p = _mm256_mul_pd(r, _mm256_add_pd(_mm256_set1_pd(1.0 / 6.0), p));
+  p = _mm256_mul_pd(r, _mm256_add_pd(_mm256_set1_pd(0.5), p));
+  p = _mm256_mul_pd(r, _mm256_add_pd(_mm256_set1_pd(1.0), p));
+  p = _mm256_add_pd(_mm256_set1_pd(1.0), p);
+  // Only the low 12 bits of k survive the shift into the exponent field,
+  // and they are the low 12 bits of `shifted`.
+  const __m256i k_bits =
+      _mm256_slli_epi64(_mm256_castpd_si256(shifted), 52);
+  return _mm256_castsi256_pd(
+      _mm256_add_epi64(_mm256_castpd_si256(p), k_bits));
+}
+
+/// Four engine words to the doubles generate_canonical makes of them.
+QMQO_AVX2_INLINE __m256d Uniform4(__m256i words) {
+  // OR-ing a 32-bit value into the mantissa of 2^52 and subtracting 2^52
+  // converts it exactly.
+  const __m256i exponent = _mm256_set1_epi64x(0x4330000000000000LL);
+  const __m256d two52 = _mm256_set1_pd(0x1.0p52);
+  const __m256d hi = _mm256_sub_pd(
+      _mm256_castsi256_pd(
+          _mm256_or_si256(_mm256_srli_epi64(words, 32), exponent)),
+      two52);
+  const __m256d lo = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(
+          _mm256_and_si256(words, _mm256_set1_epi64x(0xffffffffLL)),
+          exponent)),
+      two52);
+  const __m256d u = _mm256_add_pd(_mm256_mul_pd(hi, _mm256_set1_pd(0x1.0p-32)),
+                                  _mm256_mul_pd(lo, _mm256_set1_pd(0x1.0p-64)));
+  // generate_canonical's clamp: results >= 1 become 1 - 2^-53.
+  return _mm256_min_pd(u, _mm256_set1_pd(0x1.fffffffffffffp-1));
+}
+
+/// Saves `engine` to `start`, then draws the next kDrawBuffer words from
+/// it into `uniforms` as doubles.
+QMQO_AVX2_INLINE void Refill(std::mt19937_64* engine, std::mt19937_64* start,
+                             double* uniforms) {
+  *start = *engine;
+  alignas(32) uint64_t words[kDrawBuffer];
+  for (uint64_t& word : words) word = (*engine)();
+  for (int k = 0; k < kDrawBuffer; k += kLanes) {
+    _mm256_store_pd(uniforms + k, Uniform4(_mm256_load_si256(
+                                      reinterpret_cast<const __m256i*>(
+                                          words + k))));
+  }
+}
+
+/// All-ones in the lanes whose bit is set in `bits`.
+QMQO_AVX2_INLINE __m256d MaskFromBits(int bits) {
+  const __m256i lane_bit = _mm256_setr_epi64x(1, 2, 4, 8);
+  return _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+      _mm256_and_si256(_mm256_set1_epi64x(bits), lane_bit), lane_bit));
+}
+
+/// The Metropolis verdict `delta <= 0 || u < std::exp(neg_beta * delta)`
+/// per lane, as an all-ones/all-zeros mask: the FastExp screen decides
+/// lanes outside its band, scalar std::exp the rest.
+QMQO_AVX2_INLINE __m256d Screen4(__m256d delta, __m256d neg_beta,
+                                 __m256d u) {
+  const __m256d down = _mm256_cmp_pd(delta, _mm256_setzero_pd(), _CMP_LE_OQ);
+  const __m256d x = _mm256_mul_pd(neg_beta, delta);
+  const __m256d e = FastExp4(x);
+  const __m256d trusted =
+      _mm256_cmp_pd(x, _mm256_set1_pd(kScreenMinArg), _CMP_GE_OQ);
+  const __m256d sure_accept = _mm256_and_pd(
+      trusted, _mm256_cmp_pd(u, _mm256_mul_pd(e, _mm256_set1_pd(1.0 - kScreenBand)),
+                             _CMP_LT_OQ));
+  const __m256d sure_reject = _mm256_and_pd(
+      trusted, _mm256_cmp_pd(u, _mm256_mul_pd(e, _mm256_set1_pd(1.0 + kScreenBand)),
+                             _CMP_GE_OQ));
+  __m256d accept = _mm256_or_pd(down, sure_accept);
+  const int unsure = ~_mm256_movemask_pd(_mm256_or_pd(accept, sure_reject)) &
+                     ((1 << kLanes) - 1);
+  if (__builtin_expect(unsure != 0, 0)) {
+    alignas(32) double xs[kLanes];
+    alignas(32) double us[kLanes];
+    _mm256_store_pd(xs, x);
+    _mm256_store_pd(us, u);
+    int late = 0;
+    for (int l = 0; l < kLanes; ++l) {
+      if ((unsure >> l & 1) && us[l] < std::exp(xs[l])) late |= 1 << l;
+    }
+    accept = _mm256_or_pd(accept, MaskFromBits(late));
+  }
+  return accept;
+}
+
+/// The lane kernel: `RunSweeps` on four reads in lockstep. `field` and
+/// `m2s` hold lane l of spin i at [4 i + l]; m2s is -2 s, the scalar
+/// loop's flip change. `engines[l]` is lane l's read stream, left at the
+/// word after the last one lane l consumed.
+QMQO_AVX2 void LaneSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
+                          int sweeps, std::mt19937_64* const* engines,
+                          double* field, double* m2s) {
+  const int n = ising.num_spins();
+  const qubo::CsrGraph& csr = ising.csr();
+  const int32_t* offsets = csr.row_offsets.data();
+  const qubo::VarId* ids = csr.neighbor_ids.data();
+  const double* weights = csr.weights.data();
+
+  // Lane l's uniforms occupy uniforms[l * kDrawBuffer, (l + 1) *
+  // kDrawBuffer); next[l] indexes its next unused one. starts[l] is its
+  // engine as of the buffer's first word, for the rewind at the end.
+  alignas(32) double uniforms[kLanes * kDrawBuffer];
+  alignas(32) int64_t next[kLanes];
+  std::mt19937_64 starts[kLanes];
+  for (int l = 0; l < kLanes; ++l) {
+    Refill(engines[l], &starts[l], uniforms + l * kDrawBuffer);
+    next[l] = static_cast<int64_t>(l) * kDrawBuffer;
+  }
+  __m256i next4 = _mm256_load_si256(reinterpret_cast<const __m256i*>(next));
+  const __m256i buffer_end =
+      _mm256_setr_epi64x(kDrawBuffer, 2 * kDrawBuffer, 3 * kDrawBuffer,
+                         4 * kDrawBuffer);
+
+  for (int sweep = 0; sweep < sweeps; ++sweep) {
+    const __m256d neg_beta = _mm256_set1_pd(-beta.At(sweep, sweeps));
+    for (qubo::VarId i = 0; i < n; ++i) {
+      double* f_i = field + static_cast<size_t>(i) * kLanes;
+      double* m_i = m2s + static_cast<size_t>(i) * kLanes;
+      const __m256d change = _mm256_loadu_pd(m_i);
+      const __m256d delta = _mm256_mul_pd(change, _mm256_loadu_pd(f_i));
+      const __m256d down =
+          _mm256_cmp_pd(delta, _mm256_setzero_pd(), _CMP_LE_OQ);
+      __m256d accept = down;
+      if (_mm256_movemask_pd(down) != (1 << kLanes) - 1) {
+        // Uphill lanes (delta > 0 or NaN) each consume their next draw.
+        const __m256d u = _mm256_i64gather_pd(uniforms, next4, 8);
+        accept = Screen4(delta, neg_beta, u);
+        next4 = _mm256_sub_epi64(
+            next4, _mm256_xor_si256(_mm256_castpd_si256(down),
+                                    _mm256_set1_epi64x(-1)));
+        const int spent =
+            _mm256_movemask_pd(_mm256_castsi256_pd(
+                _mm256_cmpeq_epi64(next4, buffer_end)));
+        if (__builtin_expect(spent != 0, 0)) {
+          _mm256_store_si256(reinterpret_cast<__m256i*>(next), next4);
+          for (int l = 0; l < kLanes; ++l) {
+            if (!(spent >> l & 1)) continue;
+            Refill(engines[l], &starts[l], uniforms + l * kDrawBuffer);
+            next[l] = static_cast<int64_t>(l) * kDrawBuffer;
+          }
+          next4 = _mm256_load_si256(reinterpret_cast<const __m256i*>(next));
+        }
+      }
+      // Flip the accepted lanes: negate their m2s and add w * change to
+      // their neighbors' fields; other lanes keep every bit.
+      _mm256_storeu_pd(
+          m_i, _mm256_blendv_pd(change,
+                                _mm256_sub_pd(_mm256_setzero_pd(), change),
+                                accept));
+      for (int32_t e = offsets[i]; e < offsets[i + 1]; ++e) {
+        double* f_j = field + static_cast<size_t>(ids[e]) * kLanes;
+        const __m256d f = _mm256_loadu_pd(f_j);
+        const __m256d updated = _mm256_add_pd(
+            f, _mm256_mul_pd(_mm256_set1_pd(weights[e]), change));
+        _mm256_storeu_pd(f_j, _mm256_blendv_pd(f, updated, accept));
+      }
+    }
+  }
+
+  // Rewind: each engine goes back to its buffer's first word and skips
+  // the words its lane consumed.
+  _mm256_store_si256(reinterpret_cast<__m256i*>(next), next4);
+  for (int l = 0; l < kLanes; ++l) {
+    *engines[l] = starts[l];
+    engines[l]->discard(
+        static_cast<unsigned long long>(next[l] - l * kDrawBuffer));
+  }
+}
+
+/// Four reads through the lane kernel.
+void LaneBatch(const qubo::IsingProblem& ising, const Schedule& beta,
+               int sweeps, const SweepRead* reads) {
+  const size_t n = static_cast<size_t>(ising.num_spins());
+  std::vector<double> field(n * kLanes);
+  std::vector<double> m2s(n * kLanes);
+  std::mt19937_64* engines[kLanes];
+  for (int l = 0; l < kLanes; ++l) {
+    const int8_t* s = reads[l].spins->data();
+    assert(reads[l].spins->size() == n);
+    InitFields(ising, s, field.data() + l, kLanes);
+    for (size_t i = 0; i < n; ++i) {
+      m2s[i * kLanes + static_cast<size_t>(l)] =
+          -2.0 * static_cast<double>(s[i]);
+    }
+    engines[l] = &reads[l].rng->engine();
+  }
+  LaneSweeps(ising, beta, sweeps, engines, field.data(), m2s.data());
+  for (int l = 0; l < kLanes; ++l) {
+    int8_t* s = reads[l].spins->data();
+    for (size_t i = 0; i < n; ++i) {
+      s[i] = m2s[i * kLanes + static_cast<size_t>(l)] < 0.0 ? int8_t{1}
+                                                            : int8_t{-1};
+    }
+  }
+}
+
+#endif  // QMQO_SCALAR_LANES
+
+}  // namespace
+
+void RandomSpins(Rng* rng, std::vector<int8_t>* spins) {
+  for (auto& s : *spins) {
+    s = rng->Bernoulli(0.5) ? int8_t{1} : int8_t{-1};
+  }
+}
+
+void RunSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
+               int sweeps, Rng* rng, std::vector<int8_t>* spins) {
   const int n = ising.num_spins();
   assert(static_cast<int>(spins->size()) == n);
   const qubo::CsrGraph& csr = ising.csr();
   const int32_t* offsets = csr.row_offsets.data();
   const qubo::VarId* ids = csr.neighbor_ids.data();
   const double* weights = csr.weights.data();
-  const double* h = ising.fields().data();
   int8_t* s = spins->data();
 
-  // Local fields: field[i] = h_i + sum_j J_ij s_j; flipping spin i changes
-  // the energy by -2 s_i field[i] ... note the sign convention below.
   std::vector<double> field(static_cast<size_t>(n));
-  for (qubo::VarId i = 0; i < n; ++i) {
-    double f = h[i];
-    for (int32_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-      f += weights[e] * static_cast<double>(s[ids[e]]);
-    }
-    field[static_cast<size_t>(i)] = f;
-  }
+  InitFields(ising, s, field.data(), 1);
   for (int sweep = 0; sweep < sweeps; ++sweep) {
     double b = beta.At(sweep, sweeps);
     for (qubo::VarId i = 0; i < n; ++i) {
@@ -53,225 +307,90 @@ void ScalarSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
   }
 }
 
-/// The two-color sweep shared by `kCheckerboard` and `kCheckerboardFast`
-/// (`fast` selects FastExp and the large-argument reject cutoff). The
-/// whole read runs in the plan's color-major permuted space — spins and
-/// fields are walked sequentially within a class, with no member
-/// indirection — and is permuted back into `spins` at the end. Per class:
-/// members are never adjacent, so no member's cached field depends on
-/// another member's flip, making the decide results independent of apply
-/// order. That admits two equivalent schedules: a fused decide-and-flip
-/// pass (fastest serially), and a split pass whose decide half fans out
-/// across the executor into per-index accept slots while the scatter
-/// stays serial — bit-identical at any `sweep_threads`, because the
-/// uniforms are drawn in the same per-class order either way.
-void CheckerboardSweeps(const qubo::IsingProblem& ising, const SweepPlan& plan,
-                        const Schedule& beta, int sweeps, bool fast, Rng* rng,
-                        std::vector<int8_t>* spins, util::Executor* executor,
-                        int sweep_threads) {
-  const int n = ising.num_spins();
-  assert(static_cast<int>(spins->size()) == n);
-  const int32_t* offsets = plan.row_offsets().data();
-  const qubo::VarId* ids = plan.neighbor_ids().data();
-  const double* weights = plan.weights().data();
-  const double* h = plan.fields().data();
-  const qubo::Coloring& coloring = plan.coloring();
-  // class_members concatenated in color order IS the permuted->original
-  // map; class c occupies the contiguous permuted range
-  // [class_offsets[c], class_offsets[c+1]).
-  const qubo::VarId* to_original = coloring.class_members.data();
+bool ScalarLanesSupported() {
+#if QMQO_SCALAR_LANES
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
 
-  std::vector<int8_t> permuted(static_cast<size_t>(n));
-  int8_t* s = permuted.data();
-  for (int q = 0; q < n; ++q) {
-    s[q] = (*spins)[static_cast<size_t>(to_original[q])];
-  }
-  std::vector<double> field(static_cast<size_t>(n));
-  for (int q = 0; q < n; ++q) {
-    double f = h[q];
-    for (int32_t e = offsets[q]; e < offsets[q + 1]; ++e) {
-      f += weights[e] * static_cast<double>(s[ids[e]]);
+void RunSweepsBatch(const qubo::IsingProblem& ising, const Schedule& beta,
+                    int sweeps, const SweepRead* reads, int count) {
+  int r = 0;
+#if QMQO_SCALAR_LANES
+  if (ScalarLanesSupported() && ising.num_spins() > 0 && sweeps > 0) {
+    for (; r + kLanes <= count; r += kLanes) {
+      LaneBatch(ising, beta, sweeps, reads + r);
     }
-    field[static_cast<size_t>(q)] = f;
   }
+#endif
+  for (; r < count; ++r) {
+    RunSweeps(ising, beta, sweeps, reads[r].rng, reads[r].spins);
+  }
+}
 
-  std::vector<double> uniforms(static_cast<size_t>(plan.max_class_size()));
-  std::vector<uint8_t> accept(uniforms.size());
-  double* u = uniforms.data();
-  uint8_t* a = accept.data();
-  // Bulk randomness comes from a xoshiro256++ stream seeded once per read
-  // from the read's Rng — the mt19937_64 draw itself (~12 ns) would
-  // otherwise dominate the sweep (the ROADMAP's "vectorized xoshiro"
-  // lever). One parent draw keeps determinism hanging off the seed.
-  FastRng fast_rng(rng->Next());
-
-  auto flip = [&](qubo::VarId q) {
-    double change = -2.0 * static_cast<double>(s[q]);
-    s[q] = static_cast<int8_t>(-s[q]);
-    for (int32_t e = offsets[q]; e < offsets[q + 1]; ++e) {
-      field[static_cast<size_t>(ids[e])] += weights[e] * change;
-    }
+void AnnealReads(const qubo::IsingProblem& ising, const Schedule& beta,
+                 int sweeps, const Rng& base, int begin, int end,
+                 const std::function<bool(int)>& skip,
+                 const std::function<void(int, const std::vector<int8_t>&)>&
+                     done) {
+  const size_t n = static_cast<size_t>(ising.num_spins());
+  std::vector<Rng> rngs;
+  rngs.reserve(kLanes);  // SweepRead keeps pointers into it
+  std::vector<std::vector<int8_t>> spins(kLanes, std::vector<int8_t>(n));
+  int batch[kLanes];
+  auto flush = [&] {
+    const int count = static_cast<int>(rngs.size());
+    SweepRead reads[kLanes] = {};
+    for (int k = 0; k < count; ++k) reads[k] = {&rngs[k], &spins[k]};
+    RunSweepsBatch(ising, beta, sweeps, reads, count);
+    for (int k = 0; k < count; ++k) done(batch[k], spins[k]);
+    rngs.clear();
   };
-  for (int sweep = 0; sweep < sweeps; ++sweep) {
-    const double b = beta.At(sweep, sweeps);
-    for (int c = 0; c < coloring.num_colors; ++c) {
-      const int begin_q = coloring.class_offsets[static_cast<size_t>(c)];
-      const int count = coloring.class_size(c);
-
-      if (sweep_threads == 1) {
-        // Fused decide-and-flip, drawing inline: NextUniform() at member k
-        // yields exactly FillUniform's u[k], so this path is bit-identical
-        // to the split path below while skipping the buffer round trip.
-        if (fast) {
-          for (int q = begin_q; q < begin_q + count; ++q) {
-            double u_k = fast_rng.NextUniform();
-            // arg = -b * delta; arg >= 0 is the downhill delta <= 0 case.
-            double arg = 2.0 * b * static_cast<double>(s[q]) *
-                         field[static_cast<size_t>(q)];
-            if (arg >= 0.0 || u_k < FastExp(arg)) flip(q);
-          }
-        } else {
-          for (int q = begin_q; q < begin_q + count; ++q) {
-            double u_k = fast_rng.NextUniform();
-            double delta = -2.0 * static_cast<double>(s[q]) *
-                           field[static_cast<size_t>(q)];
-            if (delta <= 0.0 || u_k < std::exp(-b * delta)) flip(q);
-          }
-        }
-        continue;
-      }
-      fast_rng.FillUniform(u, count);
-
-      // 0 = hardware concurrency (resolved by Executor::Run).
-      util::Executor::Run(
-          executor, count, sweep_threads,
-          [&](int begin, int end, int chunk) {
-            (void)chunk;
-            if (fast) {
-              for (int k = begin; k < end; ++k) {
-                qubo::VarId q = begin_q + k;
-                double arg = 2.0 * b * static_cast<double>(s[q]) *
-                             field[static_cast<size_t>(q)];
-                a[k] = arg >= 0.0 || u[k] < FastExp(arg);
-              }
-            } else {
-              for (int k = begin; k < end; ++k) {
-                qubo::VarId q = begin_q + k;
-                double delta = -2.0 * static_cast<double>(s[q]) *
-                               field[static_cast<size_t>(q)];
-                a[k] = delta <= 0.0 || u[k] < std::exp(-b * delta);
-              }
-            }
-          });
-      for (int k = 0; k < count; ++k) {
-        if (a[k]) flip(begin_q + k);
-      }
-    }
+  for (int r = begin; r < end; ++r) {
+    if (skip && skip(r)) continue;
+    const size_t slot = rngs.size();
+    batch[slot] = r;
+    rngs.push_back(base.Fork(static_cast<uint64_t>(r)));
+    RandomSpins(&rngs.back(), &spins[slot]);
+    if (rngs.size() == kLanes) flush();
   }
-
-  for (int q = 0; q < n; ++q) {
-    (*spins)[static_cast<size_t>(to_original[q])] = s[q];
-  }
+  if (!rngs.empty()) flush();
 }
 
-}  // namespace
+#if QMQO_SCALAR_LANES
 
-SweepPlan::SweepPlan(const qubo::IsingProblem& ising)
-    : coloring_(qubo::ColorGraph(ising.csr())) {
-  // Renumber vertices color-major: permuted id q maps to original vertex
-  // class_members[q]. Rebuild CSR, weights, and fields in that space so
-  // the class pass reads everything sequentially.
-  const qubo::CsrGraph& csr = ising.csr();
-  const int n = csr.num_vars();
-  std::vector<qubo::VarId> to_permuted(static_cast<size_t>(n));
-  for (int q = 0; q < n; ++q) {
-    to_permuted[static_cast<size_t>(coloring_.class_members[q])] = q;
-  }
-  row_offsets_.resize(static_cast<size_t>(n) + 1);
-  row_offsets_[0] = 0;
-  neighbor_ids_.resize(csr.neighbor_ids.size());
-  weights_.resize(csr.weights.size());
-  fields_.resize(static_cast<size_t>(n));
-  const std::vector<double>& h = ising.fields();
-  int32_t cursor = 0;
-  for (int q = 0; q < n; ++q) {
-    qubo::VarId v = coloring_.class_members[static_cast<size_t>(q)];
-    fields_[static_cast<size_t>(q)] = h[static_cast<size_t>(v)];
-    for (int32_t e = csr.row_offsets[static_cast<size_t>(v)];
-         e < csr.row_offsets[static_cast<size_t>(v) + 1]; ++e) {
-      neighbor_ids_[static_cast<size_t>(cursor)] =
-          to_permuted[static_cast<size_t>(csr.neighbor_ids[static_cast<size_t>(e)])];
-      weights_[static_cast<size_t>(cursor)] = csr.weights[static_cast<size_t>(e)];
-      ++cursor;
-    }
-    row_offsets_[static_cast<size_t>(q) + 1] = cursor;
-  }
+QMQO_AVX2 void FastExpLanes(const double* x, double* out) {
+  _mm256_storeu_pd(out, FastExp4(_mm256_loadu_pd(x)));
 }
 
-const char* SweepKernelName(SweepKernel kernel) {
-  switch (kernel) {
-    case SweepKernel::kScalar:
-      return "scalar";
-    case SweepKernel::kCheckerboard:
-      return "checkerboard";
-    case SweepKernel::kCheckerboardFast:
-      return "checkerboard_fast";
-  }
-  return "scalar";
+QMQO_AVX2 void UniformLanes(const uint64_t* words, double* out) {
+  _mm256_storeu_pd(out, Uniform4(_mm256_loadu_si256(
+                            reinterpret_cast<const __m256i*>(words))));
 }
 
-bool ParseSweepKernel(const std::string& name, SweepKernel* kernel) {
-  if (name == "scalar") {
-    *kernel = SweepKernel::kScalar;
-  } else if (name == "checkerboard") {
-    *kernel = SweepKernel::kCheckerboard;
-  } else if (name == "checkerboard_fast") {
-    *kernel = SweepKernel::kCheckerboardFast;
-  } else {
-    return false;
-  }
-  return true;
+QMQO_AVX2 void ScreenLanes(const double* delta, double beta, const double* u,
+                           bool* accept) {
+  const int bits = _mm256_movemask_pd(Screen4(_mm256_loadu_pd(delta),
+                                              _mm256_set1_pd(-beta),
+                                              _mm256_loadu_pd(u)));
+  for (int l = 0; l < kLanes; ++l) accept[l] = (bits >> l & 1) != 0;
 }
 
-void RandomSpins(Rng* rng, std::vector<int8_t>* spins) {
-  for (auto& s : *spins) {
-    s = rng->Bernoulli(0.5) ? int8_t{1} : int8_t{-1};
-  }
+#else
+
+void FastExpLanes(const double*, double*) { std::abort(); }
+void UniformLanes(const uint64_t*, double*) { std::abort(); }
+void ScreenLanes(const double*, double, const double*, bool*) {
+  std::abort();
 }
 
-void RandomSpinsBatched(Rng* rng, std::vector<int8_t>* spins) {
-  int8_t* s = spins->data();
-  const size_t n = spins->size();
-  for (size_t base = 0; base < n; base += 64) {
-    uint64_t word = rng->Next();
-    const size_t limit = std::min<size_t>(64, n - base);
-    for (size_t bit = 0; bit < limit; ++bit) {
-      s[base + bit] = (word >> bit) & 1 ? int8_t{1} : int8_t{-1};
-    }
-  }
-}
-
-void InitSpins(SweepKernel kernel, Rng* rng, std::vector<int8_t>* spins) {
-  if (kernel == SweepKernel::kScalar) {
-    RandomSpins(rng, spins);
-  } else {
-    RandomSpinsBatched(rng, spins);
-  }
-}
-
-void RunSweeps(const qubo::IsingProblem& ising, const SweepPlan* plan,
-               const Schedule& beta, int sweeps, SweepKernel kernel, Rng* rng,
-               std::vector<int8_t>* spins, util::Executor* executor,
-               int sweep_threads) {
-  if (kernel == SweepKernel::kScalar) {
-    ScalarSweeps(ising, beta, sweeps, rng, spins);
-    return;
-  }
-  assert(plan != nullptr);
-  CheckerboardSweeps(ising, *plan, beta, sweeps,
-                     kernel == SweepKernel::kCheckerboardFast, rng, spins,
-                     executor, sweep_threads);
-}
+#endif  // QMQO_SCALAR_LANES
 
 }  // namespace anneal
 }  // namespace qmqo

@@ -2,84 +2,62 @@
 #define QMQO_ANNEAL_SWEEP_KERNEL_H_
 
 /// \file sweep_kernel.h
-/// Selectable Metropolis sweep kernels for the annealing samplers.
+/// The Metropolis sweep of the simulated-annealing samplers.
 ///
-/// A sweep proposes one flip per spin. The three kernels trade sweep order
-/// and arithmetic for throughput:
+/// There is one kernel: `RunSweeps`, the per-spin loop in ascending spin
+/// order with one `Rng::UniformReal` draw per uphill proposal, exact
+/// `std::exp`, and incremental local fields. Its random stream and results
+/// are frozen across releases and identical at any thread count.
 ///
-///  * `kScalar` — the original per-spin loop, in ascending spin order with
-///    per-proposal RNG draws (`Rng::UniformReal`) and `std::exp`. This is
-///    the **bit-exact reference**: its random stream and results are frozen
-///    across PRs and identical at any thread count.
-///  * `kCheckerboard` — a two-color ("checkerboard") sweep over the color
-///    classes of `qubo::ColorGraph` (Chimera is bipartite, arbitrary CSR
-///    graphs fall back to a greedy coloring). Within a class no spin's
-///    local field depends on another member, so uniforms are drawn into a
-///    per-class buffer up front and the decide loop runs with no loop-carried
-///    dependency — parallelizable across a `util::Executor`
-///    (`sweep_threads`) with bit-identical results at any thread count.
-///    Exact double-precision math (`std::exp`); the random stream differs
-///    from `kScalar` (batched draws, color order), so trajectories differ
-///    while energy quality is statistically equivalent.
-///  * `kCheckerboardFast` — the same sweep with the fast-math opt-in:
-///    acceptance probabilities from `FastExp` (bounded relative error
-///    `kFastExpMaxRelError`, documented below) instead of `std::exp`. Still
-///    deterministic per seed and thread count; NOT covered by the
-///    bit-exactness contract of the default path.
+/// `RunSweepsBatch` runs that kernel on several reads of one problem. On
+/// hosts with AVX2 (`ScalarLanesSupported`, decided at run time) it anneals
+/// them four at a time in lockstep, one vector lane per read; leftover
+/// reads, and every read on other hosts, go through `RunSweeps`. Each lane
+/// reproduces `RunSweeps` on its read bit for bit — final spins and the
+/// read's `Rng` position alike:
 ///
-/// Initialization pairs with the kernels: `kScalar` keeps the legacy
-/// one-`Bernoulli`-per-spin `RandomSpins`, the checkerboard kernels use
-/// `RandomSpinsBatched` (64 spins bit-unpacked per `Rng::Next` call), whose
-/// sequence is pinned by `tests/sweep_kernel_test.cc`.
+///  * **Draw.** Each lane buffers its own read's tempered `mt19937_64`
+///    words and consumes one only on an uphill proposal, exactly where the
+///    scalar loop calls `UniformReal`; at the end the read's engine is
+///    rewound to the word it consumed last.
+///  * **Conversion.** A word x becomes `double(x >> 32) * 2^-32 +
+///    double(uint32(x)) * 2^-64`: both terms are exact, so the sum rounds
+///    once, to the same double as libstdc++'s `generate_canonical`
+///    (`double(x) * 2^-64`), whose clamp below 1 is kept.
+///  * **Screen.** With x = -beta * delta, a lane accepts when u <
+///    FastExp(x) * (1 - 1e-5) and rejects when u >= FastExp(x) * (1 +
+///    1e-5). FastExp's relative error is below `kFastExpMaxRelError` (5e-7),
+///    so neither verdict can differ from `u < std::exp(x)`. Lanes inside
+///    the band, or with x < -700 (near FastExp's clamp at -708, below
+///    which `std::exp` turns subnormal), fall back to scalar `std::exp`.
+///  * **Flip.** Accepted lanes update their neighbors' fields as
+///    f + w * (-2 s): the product is exact and the sum rounds once, as in
+///    the scalar loop; rejected lanes keep their fields untouched.
 
 #include <cstdint>
 #include <cstring>
-#include <string>
+#include <functional>
 #include <vector>
 
 #include "anneal/schedule.h"
-#include "qubo/csr.h"
 #include "qubo/ising.h"
 #include "util/rng.h"
 
 namespace qmqo {
-namespace util {
-class Executor;
-}  // namespace util
-
 namespace anneal {
 
-/// Which Metropolis sweep implementation a sampler runs.
-enum class SweepKernel {
-  kScalar,
-  kCheckerboard,
-  kCheckerboardFast,
-};
-
-/// Canonical names: "scalar", "checkerboard", "checkerboard_fast".
-const char* SweepKernelName(SweepKernel kernel);
-
-/// Parses a canonical name (as accepted by QMQO_BENCH_KERNEL). Returns
-/// false (leaving `kernel` untouched) on anything else.
-bool ParseSweepKernel(const std::string& name, SweepKernel* kernel);
-
-/// Upper bound on |FastExp(x) - exp(x)| / exp(x) over x in [-708, 0] (the
-/// full range the kernels evaluate: -beta * delta with delta > 0; arguments
-/// below -708 return exactly 0, where exp(x) < 4e-308 is far beneath the
-/// smallest nonzero uniform 2^-53). Asserted by tests/sweep_kernel_test.cc.
+/// Upper bound on |FastExp(x) - exp(x)| / exp(x) over x in [-708, 0]
+/// (arguments below -708 are clamped; the lane screen never trusts FastExp
+/// below -700). Asserted by tests/sweep_kernel_test.cc.
 inline constexpr double kFastExpMaxRelError = 5e-7;
 
 /// Bounded-error exp for non-positive arguments: exp(x) = 2^k * exp(r) with
 /// k = round(x / ln 2) and a degree-6 Taylor polynomial for exp(r),
 /// |r| <= ln(2)/2. The rounding uses the shift-by-1.5*2^52 trick and the
 /// 2^k scaling is exact exponent-bit arithmetic, so the whole function is
-/// branch-free straight-line code (no libm — `std::floor` without SSE4.1
-/// codegen would cost more than the exp it replaces; the underflow guard
-/// is a `maxsd`-style clamp, not a branch). Arguments below -708 are
-/// clamped: the result ~3e-308 stays beneath every nonzero 53-bit uniform,
-/// so Metropolis tests behave as exp = 0 there. Within [-708, 0] the
-/// relative error is the polynomial truncation error, bounded by
-/// `kFastExpMaxRelError`.
+/// branch-free straight-line code. Arguments below -708 are clamped so the
+/// result stays normal. The lane kernel's screen evaluates the same
+/// operations vector-wise (`FastExpLanes`), bit for bit.
 inline double FastExp(double x) {
   x = x < -708.0 ? -708.0 : x;  // branchless clamp keeps the result normal
   const double kLog2E = 1.4426950408889634;
@@ -110,64 +88,57 @@ inline double FastExp(double x) {
   return out;
 }
 
-/// Per-problem precomputation shared by every read of a sampler call: the
-/// color classes the checkerboard kernels sweep, plus a **color-major
-/// permuted copy** of the problem — vertices renumbered so each class is
-/// contiguous (`coloring().class_members` is the permuted→original map).
-/// The class pass then walks spins and fields sequentially with no member
-/// indirection, which is where the checkerboard layout's cache behavior
-/// comes from. Cheap for `kScalar` callers to skip (pass null to
-/// `RunSweeps`).
-class SweepPlan {
- public:
-  explicit SweepPlan(const qubo::IsingProblem& ising);
-
-  const qubo::Coloring& coloring() const { return coloring_; }
-  int max_class_size() const { return coloring_.max_class_size(); }
-
-  /// CSR adjacency over permuted vertex ids (neighbor ids are permuted).
-  const std::vector<int32_t>& row_offsets() const { return row_offsets_; }
-  const std::vector<qubo::VarId>& neighbor_ids() const {
-    return neighbor_ids_;
-  }
-  const std::vector<double>& weights() const { return weights_; }
-  /// Ising fields h over permuted vertex ids.
-  const std::vector<double>& fields() const { return fields_; }
-
- private:
-  qubo::Coloring coloring_;
-  std::vector<int32_t> row_offsets_;
-  std::vector<qubo::VarId> neighbor_ids_;
-  std::vector<double> weights_;
-  std::vector<double> fields_;
-};
-
-/// Fills `spins` with uniform random ±1, one `Bernoulli` draw per spin —
-/// the legacy initialization of the bit-exact `kScalar` path.
+/// Fills `spins` with uniform random ±1, one `Bernoulli` draw per spin.
 void RandomSpins(Rng* rng, std::vector<int8_t>* spins);
 
-/// Fills `spins` with uniform random ±1, bit-unpacking 64 spins per
-/// `Rng::Next` call. Used by the checkerboard kernels (whose streams
-/// already differ from `kScalar`); the sequence for a given seed is part of
-/// the documented seed contract and pinned by a regression test.
-void RandomSpinsBatched(Rng* rng, std::vector<int8_t>* spins);
+/// Runs `sweeps` Metropolis sweeps over `spins` in place: the frozen
+/// reference kernel described in the file comment.
+void RunSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
+               int sweeps, Rng* rng, std::vector<int8_t>* spins);
 
-/// Kernel-matched initialization: legacy `RandomSpins` for `kScalar`,
-/// `RandomSpinsBatched` otherwise.
-void InitSpins(SweepKernel kernel, Rng* rng, std::vector<int8_t>* spins);
+/// True when `RunSweepsBatch` uses its four-lane kernel: an x86-64 build
+/// against libstdc++ (whose `generate_canonical` the lanes reproduce) on
+/// a host with AVX2, checked at run time.
+bool ScalarLanesSupported();
 
-/// Runs `sweeps` Metropolis sweeps over `spins` in place with the selected
-/// kernel. `plan` may be null for `kScalar` and must outlive the call
-/// otherwise (build it once per problem, share across reads). The
-/// checkerboard kernels fan their per-class decide loop across
-/// `sweep_threads` concurrent chunks of `executor` (null = the process-wide
-/// shared pool; <= 1 = inline) with bit-identical results at any thread
-/// count, because the class's uniforms are drawn serially up front and each
-/// chunk writes per-index accept slots.
-void RunSweeps(const qubo::IsingProblem& ising, const SweepPlan* plan,
-               const Schedule& beta, int sweeps, SweepKernel kernel, Rng* rng,
-               std::vector<int8_t>* spins, util::Executor* executor = nullptr,
-               int sweep_threads = 1);
+/// One read handed to `RunSweepsBatch`: its stream and its spins.
+struct SweepRead {
+  Rng* rng;
+  std::vector<int8_t>* spins;
+};
+
+/// Runs `RunSweeps(ising, beta, sweeps, reads[r].rng, reads[r].spins)` for
+/// every r in [0, count), with bit-identical spins and stream positions;
+/// full groups of four go through the lane kernel when
+/// `ScalarLanesSupported()`. `ising` must be finalized.
+void RunSweepsBatch(const qubo::IsingProblem& ising, const Schedule& beta,
+                    int sweeps, const SweepRead* reads, int count);
+
+/// Anneals the reads in [begin, end) of one sampler call: read r forks
+/// `base.Fork(r)`, starts from `RandomSpins`, and runs `sweeps` sweeps;
+/// reads are grouped four at a time for `RunSweepsBatch`. Reads for which
+/// `skip(r)` holds (may be empty) are left out of the groups entirely.
+/// `done(r, spins)` sees every annealed read in ascending order. Each
+/// read's spins depend on (base, r) alone, so any partition of a call's
+/// reads into ranges yields the same reads.
+void AnnealReads(const qubo::IsingProblem& ising, const Schedule& beta,
+                 int sweeps, const Rng& base, int begin, int end,
+                 const std::function<bool(int)>& skip,
+                 const std::function<void(int, const std::vector<int8_t>&)>&
+                     done);
+
+/// The lane kernel's vector pieces over four-element buffers, for tests;
+/// call only when `ScalarLanesSupported()`.
+///  * `FastExpLanes`: out[l] = FastExp(x[l]).
+///  * `UniformLanes`: out[l] = the double `Rng::UniformReal(0, 1)` makes
+///    of the engine word words[l].
+///  * `ScreenLanes`: accept[l] = the lane kernel's verdict on a proposal
+///    with flip delta delta[l] at inverse temperature `beta` and uniform
+///    u[l] (screen plus scalar fallback).
+void FastExpLanes(const double* x, double* out);
+void UniformLanes(const uint64_t* words, double* out);
+void ScreenLanes(const double* delta, double beta, const double* u,
+                 bool* accept);
 
 }  // namespace anneal
 }  // namespace qmqo

@@ -130,7 +130,6 @@ AttemptOutcome RunAttempt(const SolvePolicy& policy, const SolveTarget& target,
               .Next();
       sqa.num_threads = options.device.num_threads;
       sqa.executor = options.device.executor;
-      sqa.sweep_kernel = options.device.sweep_kernel;
       anneal::SampleSet set =
           anneal::SimulatedQuantumAnnealer(sqa).Sample(target.qubo());
       if (set.empty()) {
@@ -149,7 +148,6 @@ AttemptOutcome RunAttempt(const SolvePolicy& policy, const SolveTarget& target,
               .Next();
       sa.num_threads = options.device.num_threads;
       sa.executor = options.device.executor;
-      sa.sweep_kernel = options.device.sweep_kernel;
       anneal::SampleSet set =
           anneal::SimulatedAnnealer(sa).Sample(target.qubo());
       if (set.empty()) {

@@ -86,60 +86,6 @@ class Rng {
   uint64_t seed_;
 };
 
-/// A small, fast counterpart to `Rng`: xoshiro256++ (~1 ns per draw vs
-/// ~12 ns for mt19937_64), for hot loops that consume bulk randomness —
-/// the checkerboard sweep kernels fill per-color-class uniform buffers
-/// from one of these. Seed it from the owning `Rng` stream
-/// (`FastRng(rng.Next())`) so determinism and fork discipline still hang
-/// off the single experiment seed. Not a drop-in for `Rng`: no
-/// distributions, no forking.
-class FastRng {
- public:
-  /// Expands the 64-bit seed into the 256-bit state with splitmix64.
-  explicit FastRng(uint64_t seed) {
-    uint64_t x = seed;
-    for (uint64_t& word : state_) {
-      // splitmix64 step (same finalizer as Rng::Scramble).
-      x += 0x9e3779b97f4a7c15ULL;
-      uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
-    }
-  }
-
-  /// Next raw 64-bit value (xoshiro256++).
-  uint64_t Next() {
-    uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-    uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = Rotl(state_[3], 45);
-    return result;
-  }
-
-  /// Uniform double in [0, 1): the top 53 bits scaled by 2^-53 — exactly
-  /// uniform over the representable grid.
-  double NextUniform() {
-    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-  }
-
-  /// Fills `out[0, count)` with uniforms in [0, 1).
-  void FillUniform(double* out, int count) {
-    for (int i = 0; i < count; ++i) out[i] = NextUniform();
-  }
-
- private:
-  static uint64_t Rotl(uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-  }
-
-  uint64_t state_[4];
-};
-
 }  // namespace qmqo
 
 #endif  // QMQO_UTIL_RNG_H_

@@ -1,7 +1,9 @@
 // Golden determinism fixtures: committed JSON snapshots of the SampleSets
 // that SA, SQA, and the device simulator produce at fixed seeds — energies
 // (as exact IEEE-754 bit patterns), occurrence counts, and the packed
-// assignment words — for every sweep kernel. Each snapshot is asserted
+// assignment words. The files keep the "kernel": "scalar" field and the
+// `_scalar` names: the sweep has one exact kernel, whose four-lane form
+// must reproduce them byte for byte. Each snapshot is asserted
 // byte-stable across 1/2/4 worker threads and against the committed file,
 // so future refactors of the samplers, the parallel read engine, or the
 // SampleSet representation diff against committed truth instead of
@@ -127,90 +129,73 @@ void CheckGolden(const std::string& name, const std::string& serialized) {
       << "call the golden diff out in the PR.";
 }
 
-constexpr SweepKernel kKernels[] = {SweepKernel::kScalar,
-                                    SweepKernel::kCheckerboard,
-                                    SweepKernel::kCheckerboardFast};
 constexpr int kThreadCounts[] = {1, 2, 4};
 
 TEST(GoldenDeterminismTest, SimulatedAnnealerSnapshots) {
   qubo::QuboProblem problem = FixtureProblem();
-  for (SweepKernel kernel : kKernels) {
-    std::string reference;
-    for (int threads : kThreadCounts) {
-      SaOptions options;
-      options.num_reads = 12;
-      options.sweeps_per_read = 48;
-      options.seed = 7;
-      options.sweep_kernel = kernel;
-      options.num_threads = threads;
-      const std::string serialized =
-          Serialize("sa", SweepKernelName(kernel),
-                    SimulatedAnnealer(options).Sample(problem));
-      if (threads == 1) {
-        reference = serialized;
-      } else {
-        EXPECT_EQ(serialized, reference)
-            << "sa/" << SweepKernelName(kernel) << " at " << threads
-            << " threads diverged from serial";
-      }
+  std::string reference;
+  for (int threads : kThreadCounts) {
+    SaOptions options;
+    options.num_reads = 12;
+    options.sweeps_per_read = 48;
+    options.seed = 7;
+    options.num_threads = threads;
+    const std::string serialized =
+        Serialize("sa", "scalar", SimulatedAnnealer(options).Sample(problem));
+    if (threads == 1) {
+      reference = serialized;
+    } else {
+      EXPECT_EQ(serialized, reference)
+          << "sa at " << threads << " threads diverged from serial";
     }
-    CheckGolden(std::string("sa_") + SweepKernelName(kernel), reference);
   }
+  CheckGolden("sa_scalar", reference);
 }
 
 TEST(GoldenDeterminismTest, SqaSnapshots) {
   qubo::QuboProblem problem = FixtureProblem();
-  for (SweepKernel kernel : kKernels) {
-    std::string reference;
-    for (int threads : kThreadCounts) {
-      SqaOptions options;
-      options.num_reads = 6;
-      options.num_slices = 4;
-      options.sweeps = 24;
-      options.seed = 9;
-      options.sweep_kernel = kernel;
-      options.num_threads = threads;
-      const std::string serialized =
-          Serialize("sqa", SweepKernelName(kernel),
-                    SimulatedQuantumAnnealer(options).Sample(problem));
-      if (threads == 1) {
-        reference = serialized;
-      } else {
-        EXPECT_EQ(serialized, reference)
-            << "sqa/" << SweepKernelName(kernel) << " at " << threads
-            << " threads diverged from serial";
-      }
+  std::string reference;
+  for (int threads : kThreadCounts) {
+    SqaOptions options;
+    options.num_reads = 6;
+    options.num_slices = 4;
+    options.sweeps = 24;
+    options.seed = 9;
+    options.num_threads = threads;
+    const std::string serialized = Serialize(
+        "sqa", "scalar", SimulatedQuantumAnnealer(options).Sample(problem));
+    if (threads == 1) {
+      reference = serialized;
+    } else {
+      EXPECT_EQ(serialized, reference)
+          << "sqa at " << threads << " threads diverged from serial";
     }
-    CheckGolden(std::string("sqa_") + SweepKernelName(kernel), reference);
   }
+  CheckGolden("sqa_scalar", reference);
 }
 
 TEST(GoldenDeterminismTest, DeviceSnapshots) {
   qubo::QuboProblem problem = FixtureProblem();
-  for (SweepKernel kernel : kKernels) {
-    std::string reference;
-    for (int threads : kThreadCounts) {
-      DWaveOptions options;
-      options.num_reads = 12;
-      options.num_gauges = 3;
-      options.sa_sweeps = 24;
-      options.seed = 11;
-      options.sweep_kernel = kernel;
-      options.num_threads = threads;
-      auto result = DWaveSimulator(options).Sample(problem);
-      ASSERT_TRUE(result.ok());
-      const std::string serialized =
-          Serialize("device", SweepKernelName(kernel), result->samples);
-      if (threads == 1) {
-        reference = serialized;
-      } else {
-        EXPECT_EQ(serialized, reference)
-            << "device/" << SweepKernelName(kernel) << " at " << threads
-            << " threads diverged from serial";
-      }
+  std::string reference;
+  for (int threads : kThreadCounts) {
+    DWaveOptions options;
+    options.num_reads = 12;
+    options.num_gauges = 3;
+    options.sa_sweeps = 24;
+    options.seed = 11;
+    options.num_threads = threads;
+    auto result = DWaveSimulator(options).Sample(problem);
+    ASSERT_TRUE(result.ok());
+    const std::string serialized =
+        Serialize("device", "scalar", result->samples);
+    if (threads == 1) {
+      reference = serialized;
+    } else {
+      EXPECT_EQ(serialized, reference)
+          << "device at " << threads << " threads diverged from serial";
     }
-    CheckGolden(std::string("device_") + SweepKernelName(kernel), reference);
   }
+  CheckGolden("device_scalar", reference);
 }
 
 /// The capped (streaming top-k) SA result is part of the frozen contract

@@ -58,9 +58,12 @@ void ExpectIdentical(const SampleSet& a, const SampleSet& b) {
 
 TEST(RunReadsTest, PartitionsEveryReadExactlyOnce) {
   for (int threads : {1, 2, 3, 8, 16}) {
-    SampleSet set = RunReads(13, threads, [](int read, SampleSet* local) {
-      local->Add(Bits(read, 4), static_cast<double>(read));
-    });
+    SampleSet set =
+        RunReads(13, threads, [](int begin, int end, SampleSet* local) {
+          for (int read = begin; read < end; ++read) {
+            local->Add(Bits(read, 4), static_cast<double>(read));
+          }
+        });
     EXPECT_EQ(set.total_reads(), 13);
     ASSERT_EQ(set.samples().size(), 13u);
     for (int read = 0; read < 13; ++read) {
@@ -71,22 +74,24 @@ TEST(RunReadsTest, PartitionsEveryReadExactlyOnce) {
 }
 
 TEST(RunReadsTest, ZeroReadsYieldsEmptyFinalizedSet) {
-  SampleSet set = RunReads(0, 4, [](int, SampleSet*) { FAIL(); });
+  SampleSet set = RunReads(0, 4, [](int, int, SampleSet*) { FAIL(); });
   EXPECT_TRUE(set.empty());
   EXPECT_EQ(set.total_reads(), 0);
 }
 
 TEST(RunReadsTest, MoreThreadsThanReads) {
-  SampleSet set = RunReads(3, 16, [](int read, SampleSet* local) {
-    local->Add(Bits(read, 2), 0.0);
+  SampleSet set = RunReads(3, 16, [](int begin, int end, SampleSet* local) {
+    for (int read = begin; read < end; ++read) local->Add(Bits(read, 2), 0.0);
   });
   EXPECT_EQ(set.total_reads(), 3);
 }
 
 TEST(RunReadsTest, WorkerExceptionPropagates) {
   EXPECT_THROW(RunReads(8, 4,
-                        [](int read, SampleSet*) {
-                          if (read == 5) throw std::runtime_error("boom");
+                        [](int begin, int end, SampleSet*) {
+                          if (begin <= 5 && 5 < end) {
+                            throw std::runtime_error("boom");
+                          }
                         }),
                std::runtime_error);
 }
@@ -97,8 +102,10 @@ TEST(RunReadsTest, CallerSuppliedExecutorIsReusedNotRespawned) {
   for (int round = 0; round < 5; ++round) {
     SampleSet set = RunReads(
         11, 4,
-        [](int read, SampleSet* local) {
-          local->Add(Bits(read, 4), static_cast<double>(read));
+        [](int begin, int end, SampleSet* local) {
+          for (int read = begin; read < end; ++read) {
+            local->Add(Bits(read, 4), static_cast<double>(read));
+          }
         },
         &executor);
     EXPECT_EQ(set.total_reads(), 11);
@@ -110,8 +117,10 @@ TEST(RunReadsTest, SharedPoolFallbackSpawnsNothingPerCall) {
   util::Executor::Shared();  // force the one-time lazy construction
   const int64_t spawned = util::Executor::TotalWorkersSpawned();
   for (int round = 0; round < 3; ++round) {
-    SampleSet set = RunReads(7, 3, [](int read, SampleSet* local) {
-      local->Add(Bits(read, 3), 0.0);
+    SampleSet set = RunReads(7, 3, [](int begin, int end, SampleSet* local) {
+      for (int read = begin; read < end; ++read) {
+        local->Add(Bits(read, 3), 0.0);
+      }
     });
     EXPECT_EQ(set.total_reads(), 7);
   }

@@ -1,23 +1,28 @@
-// Tests for the sweep-kernel layer: CSR graph coloring, the bit-exact vs
-// fast-math kernel contracts (FastExp error bound, frozen scalar stream,
-// batched initialization pinning), field-update equivalence of the
-// checkerboard sweep, thread-count determinism, and energy-quality parity
-// of all three kernels on a 512-spin Chimera glass.
+// Tests for the sweep kernel: the FastExp error bound, the frozen
+// initialization stream, and the four-lane kernel's exactness — its
+// vector FastExp, draw conversion, and accept screen piece by piece, then
+// whole batches and samplers against the scalar reference, read for read.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <vector>
 
+#include "anneal/dwave_simulator.h"
 #include "anneal/schedule.h"
 #include "anneal/simulated_annealer.h"
-#include "anneal/sqa.h"
 #include "anneal/sweep_kernel.h"
 #include "chimera/topology.h"
-#include "qubo/brute_force.h"
-#include "qubo/csr.h"
+#include "embedding/embedded_qubo.h"
+#include "harness/paper_workload.h"
+#include "mapping/logical_mapping.h"
 #include "qubo/ising.h"
+#include "qubo/qubo.h"
+#include "util/fault.h"
 #include "util/rng.h"
 
 namespace qmqo {
@@ -39,123 +44,59 @@ qubo::IsingProblem ChimeraGlass(int rows, int cols, Rng* rng) {
   return ising;
 }
 
-qubo::IsingProblem RandomIsing(int num_spins, double density, Rng* rng) {
-  qubo::IsingProblem ising(num_spins);
-  for (int i = 0; i < num_spins; ++i) {
-    ising.AddField(i, rng->UniformReal(-2.0, 2.0));
-    for (int j = i + 1; j < num_spins; ++j) {
-      if (rng->Bernoulli(density)) {
-        ising.AddCoupling(i, j, rng->UniformReal(-2.0, 2.0));
-      }
+/// The physical QUBO of a 3-plan paper instance embedded on the D-Wave 2X
+/// chip (12 x 12 x 4 Chimera), as the device model receives it.
+qubo::QuboProblem PaperPhysicalQubo() {
+  chimera::ChimeraGraph graph(12, 12, 4);
+  harness::PaperWorkloadOptions options;
+  options.plans_per_query = 3;
+  Rng rng(20261017);
+  auto instance = harness::GeneratePaperInstance(graph, options, &rng);
+  EXPECT_TRUE(instance.ok()) << instance.status().ToString();
+  auto logical = mapping::LogicalMapping::Create(instance->problem);
+  EXPECT_TRUE(logical.ok()) << logical.status().ToString();
+  auto embedded = embedding::EmbeddedQubo::Create(
+      logical->qubo(), instance->embedding, graph);
+  EXPECT_TRUE(embedded.ok()) << embedded.status().ToString();
+  return embedded->physical();
+}
+
+/// The two exactness problems as finalized Ising problems.
+std::vector<qubo::IsingProblem> ExactnessProblems() {
+  std::vector<qubo::IsingProblem> problems;
+  Rng rng(41);
+  problems.push_back(ChimeraGlass(16, 16, &rng));  // 2048 spins
+  problems.push_back(qubo::QuboToIsing(PaperPhysicalQubo()).ising);
+  for (qubo::IsingProblem& ising : problems) ising.Finalize();
+  return problems;
+}
+
+Schedule SuggestedSchedule(const qubo::IsingProblem& ising) {
+  auto [hot, cold] = SuggestBetaRange(ising);
+  return Schedule{hot, cold, ScheduleShape::kGeometric};
+}
+
+bool SameSamples(const SampleSet& a, const SampleSet& b) {
+  if (a.total_reads() != b.total_reads()) return false;
+  if (a.samples().size() != b.samples().size()) return false;
+  for (size_t i = 0; i < a.samples().size(); ++i) {
+    if (a.samples()[i].assignment != b.samples()[i].assignment) return false;
+    if (a.samples()[i].energy != b.samples()[i].energy) return false;
+    if (a.samples()[i].num_occurrences != b.samples()[i].num_occurrences) {
+      return false;
     }
   }
-  return ising;
+  return true;
 }
 
-/// A proper coloring never places two adjacent vertices in one class, and
-/// its classes partition the vertex set.
-void ExpectValidColoring(const qubo::CsrGraph& graph,
-                         const qubo::Coloring& coloring) {
-  const int n = graph.num_vars();
-  ASSERT_EQ(static_cast<int>(coloring.color_of.size()), n);
-  for (qubo::VarId v = 0; v < n; ++v) {
-    int c = coloring.color_of[static_cast<size_t>(v)];
-    ASSERT_GE(c, 0);
-    ASSERT_LT(c, coloring.num_colors);
-    for (auto [u, w] : graph.row(v)) {
-      (void)w;
-      EXPECT_NE(coloring.color_of[static_cast<size_t>(u)], c)
-          << "edge (" << v << ", " << u << ") inside color class " << c;
-    }
-  }
-  // class_members is a permutation of [0, n) grouped consistently.
-  ASSERT_EQ(static_cast<int>(coloring.class_members.size()), n);
-  ASSERT_EQ(static_cast<int>(coloring.class_offsets.size()),
-            coloring.num_colors + 1);
-  std::vector<int> seen(static_cast<size_t>(n), 0);
-  for (int c = 0; c < coloring.num_colors; ++c) {
-    for (int k = 0; k < coloring.class_size(c); ++k) {
-      qubo::VarId v = coloring.class_begin(c)[k];
-      EXPECT_EQ(coloring.color_of[static_cast<size_t>(v)], c);
-      ++seen[static_cast<size_t>(v)];
-    }
-  }
-  for (int count : seen) EXPECT_EQ(count, 1);
-}
-
-// --------------------------------------------------------------------
-// Graph coloring
-// --------------------------------------------------------------------
-
-TEST(ColoringTest, ChimeraIsBipartiteWithTwoBalancedClasses) {
-  Rng rng(1);
-  qubo::IsingProblem glass = ChimeraGlass(4, 4, &rng);
-  glass.Finalize();
-  qubo::Coloring coloring = qubo::ColorGraph(glass.csr());
-  EXPECT_TRUE(coloring.is_bipartite);
-  EXPECT_EQ(coloring.num_colors, 2);
-  ExpectValidColoring(glass.csr(), coloring);
-  // The Chimera checkerboard: (side + row + col) parity splits evenly.
-  EXPECT_EQ(coloring.class_size(0), glass.num_spins() / 2);
-  EXPECT_EQ(coloring.class_size(1), glass.num_spins() / 2);
-}
-
-TEST(ColoringTest, RandomCsrGraphsGetValidColorings) {
-  for (int seed = 0; seed < 6; ++seed) {
-    Rng rng(static_cast<uint64_t>(seed) + 100);
-    qubo::IsingProblem ising =
-        RandomIsing(rng.UniformInt(8, 40), rng.UniformReal(0.1, 0.6), &rng);
-    ising.Finalize();
-    qubo::Coloring coloring = qubo::ColorGraph(ising.csr());
-    ExpectValidColoring(ising.csr(), coloring);
-  }
-}
-
-TEST(ColoringTest, TriangleNeedsThreeColors) {
-  qubo::IsingProblem ising(3);
-  ising.AddCoupling(0, 1, 1.0);
-  ising.AddCoupling(1, 2, 1.0);
-  ising.AddCoupling(0, 2, 1.0);
-  ising.Finalize();
-  qubo::Coloring coloring = qubo::ColorGraph(ising.csr());
-  EXPECT_FALSE(coloring.is_bipartite);
-  EXPECT_EQ(coloring.num_colors, 3);
-  ExpectValidColoring(ising.csr(), coloring);
-}
-
-TEST(ColoringTest, EdgelessGraphUsesOneClass) {
-  qubo::IsingProblem ising(5);
-  ising.AddField(0, 1.0);
-  ising.Finalize();
-  qubo::Coloring coloring = qubo::ColorGraph(ising.csr());
-  EXPECT_TRUE(coloring.is_bipartite);
-  EXPECT_EQ(coloring.num_colors, 1);
-  EXPECT_EQ(coloring.class_size(0), 5);
-}
-
-// --------------------------------------------------------------------
-// Kernel naming
-// --------------------------------------------------------------------
-
-TEST(SweepKernelTest, NamesRoundTrip) {
-  for (SweepKernel kernel :
-       {SweepKernel::kScalar, SweepKernel::kCheckerboard,
-        SweepKernel::kCheckerboardFast}) {
-    SweepKernel parsed = SweepKernel::kScalar;
-    EXPECT_TRUE(ParseSweepKernel(SweepKernelName(kernel), &parsed));
-    EXPECT_EQ(parsed, kernel);
-  }
-  SweepKernel untouched = SweepKernel::kCheckerboard;
-  EXPECT_FALSE(ParseSweepKernel("warp", &untouched));
-  EXPECT_EQ(untouched, SweepKernel::kCheckerboard);
-}
+constexpr int kReadCounts[] = {1, 2, 3, 4, 5, 7, 25};
 
 // --------------------------------------------------------------------
 // FastExp
 // --------------------------------------------------------------------
 
 TEST(FastExpTest, RelativeErrorBoundedOverKernelRange) {
-  // Dense scan of the full argument range the kernels can produce.
+  // Dense scan of the argument range the screen trusts FastExp on.
   double max_rel = 0.0;
   for (double x = -708.0; x <= 0.0; x += 1e-3) {
     double exact = std::exp(x);
@@ -164,15 +105,12 @@ TEST(FastExpTest, RelativeErrorBoundedOverKernelRange) {
   }
   EXPECT_LT(max_rel, kFastExpMaxRelError);
   EXPECT_DOUBLE_EQ(FastExp(0.0), 1.0);
-  // Beyond the clamp the result stays beneath every nonzero 53-bit
-  // uniform, so Metropolis tests treat it as zero.
   EXPECT_LT(FastExp(-1e9), 1e-300);
 }
 
 TEST(FastExpTest, RealizedBetaDeltaRangeStaysInBound) {
   // The realized arguments are -beta * delta with beta from the suggested
-  // schedule and |delta| <= 2 * (|h_i| + sum_j |J_ij|); sample that range
-  // for the 512-spin glass the parity test below anneals.
+  // schedule and |delta| <= 2 * (|h_i| + sum_j |J_ij|).
   Rng rng(3);
   qubo::IsingProblem glass = ChimeraGlass(8, 8, &rng);
   glass.Finalize();
@@ -198,256 +136,321 @@ TEST(FastExpTest, RealizedBetaDeltaRangeStaysInBound) {
 }
 
 // --------------------------------------------------------------------
-// Initialization contracts
+// Initialization
 // --------------------------------------------------------------------
 
-TEST(RandomSpinsTest, BatchedSequenceIsPinned) {
-  // The checkerboard kernels' seed contract: 64 spins bit-unpacked per
-  // Rng::Next draw. This literal sequence (seed 42) must never change
-  // without bumping the documented contract in sweep_kernel.h.
-  const int8_t kExpected[80] = {
-      1,  -1, -1, 1,  1,  1,  1,  1,  1,  1,  1,  -1, -1, 1,  -1, 1,
-      1,  1,  -1, 1,  -1, 1,  1,  -1, 1,  -1, 1,  -1, 1,  -1, 1,  -1,
-      -1, -1, -1, -1, -1, 1,  1,  -1, 1,  1,  -1, 1,  -1, -1, -1, 1,
-      1,  -1, -1, -1, -1, -1, 1,  1,  1,  1,  -1, -1, -1, 1,  -1, -1,
-      1,  -1, 1,  -1, -1, 1,  -1, -1, 1,  1,  -1, -1, 1,  1,  1,  1};
-  std::vector<int8_t> spins(80);
-  Rng rng(42);
-  RandomSpinsBatched(&rng, &spins);
-  for (int i = 0; i < 80; ++i) {
-    EXPECT_EQ(spins[i], kExpected[i]) << "at index " << i;
-  }
-}
-
-TEST(RandomSpinsTest, BatchedMatchesWordBitUnpack) {
-  // The batched draw consumes exactly ceil(n / 64) Next() calls and maps
-  // bit b of each word to spin 64*word + b.
-  std::vector<int8_t> spins(130);
-  Rng rng(9);
-  RandomSpinsBatched(&rng, &spins);
-  Rng replay(9);
-  for (size_t base = 0; base < spins.size(); base += 64) {
-    uint64_t word = replay.Next();
-    for (size_t bit = 0; bit < 64 && base + bit < spins.size(); ++bit) {
-      EXPECT_EQ(spins[base + bit], (word >> bit) & 1 ? 1 : -1);
-    }
-  }
-}
-
-TEST(RandomSpinsTest, ScalarKernelKeepsLegacyBernoulliStream) {
-  // InitSpins(kScalar) must stay on the legacy one-Bernoulli-per-spin
-  // stream — that is the bit-exactness contract of the default path.
+TEST(RandomSpinsTest, KeepsLegacyBernoulliStream) {
+  // One Bernoulli(0.5) per spin: part of every read's frozen stream.
   std::vector<int8_t> via_init(50), via_legacy(50);
   Rng a(7), b(7);
-  InitSpins(SweepKernel::kScalar, &a, &via_init);
+  RandomSpins(&a, &via_init);
   for (auto& s : via_legacy) s = b.Bernoulli(0.5) ? 1 : -1;
   EXPECT_EQ(via_init, via_legacy);
 }
 
 // --------------------------------------------------------------------
-// Field-update equivalence on a frozen spin trajectory
+// Lane pieces: vector FastExp, draw conversion, accept screen
 // --------------------------------------------------------------------
 
-TEST(CheckerboardTest, IntraClassFlipsLeaveMemberDeltasFrozen) {
-  // The invariant the checkerboard sweep rests on: flipping any subset of
-  // one color class never changes another member's flip delta, so deciding
-  // the whole class against pre-pass fields equals deciding sequentially.
-  Rng rng(11);
-  qubo::IsingProblem glass = ChimeraGlass(2, 3, &rng);
-  glass.Finalize();
-  qubo::Coloring coloring = qubo::ColorGraph(glass.csr());
-  ASSERT_EQ(coloring.num_colors, 2);
-  for (int c = 0; c < coloring.num_colors; ++c) {
-    std::vector<int8_t> spins(static_cast<size_t>(glass.num_spins()));
-    RandomSpinsBatched(&rng, &spins);
-    // Frozen trajectory: pre-pass deltas of every member.
-    std::vector<double> frozen(static_cast<size_t>(coloring.class_size(c)));
-    for (int k = 0; k < coloring.class_size(c); ++k) {
-      frozen[static_cast<size_t>(k)] =
-          glass.FlipDelta(spins, coloring.class_begin(c)[k]);
+/// x on a dense grid over [-745, 0], plus the -700 screen edge and its
+/// neighbours, in groups of four.
+std::vector<double> ScreenGrid() {
+  std::vector<double> grid;
+  for (int k = 0; k <= 745000; ++k) grid.push_back(-745.0 + k * 1e-3);
+  for (double edge : {-700.0, -708.0}) {
+    grid.push_back(edge);
+    grid.push_back(std::nextafter(edge, 0.0));
+    grid.push_back(std::nextafter(edge, -1000.0));
+  }
+  grid.push_back(-0.0);
+  while (grid.size() % 4 != 0) grid.push_back(0.0);
+  return grid;
+}
+
+TEST(ScalarLanesTest, FastExpLanesMatchScalarBitForBit) {
+  if (!ScalarLanesSupported()) GTEST_SKIP() << "host lacks AVX2";
+  const std::vector<double> grid = ScreenGrid();
+  for (size_t k = 0; k < grid.size(); k += 4) {
+    double out[4];
+    FastExpLanes(&grid[k], out);
+    for (int l = 0; l < 4; ++l) {
+      const double expected = FastExp(grid[k + l]);
+      ASSERT_EQ(std::memcmp(&out[l], &expected, sizeof(double)), 0)
+          << "x = " << grid[k + l];
     }
-    // Flip an arbitrary half of the class, then re-evaluate the rest.
-    double flipped_delta_sum = 0.0;
-    for (int k = 0; k < coloring.class_size(c); k += 2) {
-      qubo::VarId v = coloring.class_begin(c)[k];
-      flipped_delta_sum += frozen[static_cast<size_t>(k)];
-      spins[static_cast<size_t>(v)] =
-          static_cast<int8_t>(-spins[static_cast<size_t>(v)]);
-    }
-    for (int k = 1; k < coloring.class_size(c); k += 2) {
-      EXPECT_DOUBLE_EQ(
-          glass.FlipDelta(spins, coloring.class_begin(c)[k]),
-          frozen[static_cast<size_t>(k)]);
-    }
-    // And the summed frozen deltas are exactly the realized energy change
-    // — the fields scattered by the apply phase stay consistent.
-    std::vector<int8_t> original(spins);
-    for (int k = 0; k < coloring.class_size(c); k += 2) {
-      qubo::VarId v = coloring.class_begin(c)[k];
-      original[static_cast<size_t>(v)] =
-          static_cast<int8_t>(-original[static_cast<size_t>(v)]);
-    }
-    EXPECT_NEAR(glass.Energy(spins) - glass.Energy(original),
-                flipped_delta_sum, 1e-9);
   }
 }
 
-TEST(CheckerboardTest, ZeroBetaSweepFlipsEverySpinLikeScalar) {
-  // At beta == 0 every proposal is accepted (u < exp(0) = 1 for u in
-  // [0, 1)), so one sweep of *any* kernel negates the state — a frozen
-  // trajectory on which scalar and checkerboard field updates must agree
-  // exactly despite their different orders and random streams.
+TEST(ScalarLanesTest, ScreenMatchesExactDecision) {
+  if (!ScalarLanesSupported()) GTEST_SKIP() << "host lacks AVX2";
+  // At beta = 1 the argument is x = -delta exactly.
+  const std::vector<double> grid = ScreenGrid();
+  const double kOneBelowOne = 1.0 - std::ldexp(1.0, -53);
+  int64_t checked = 0;
+  for (size_t k = 0; k < grid.size(); k += 4) {
+    constexpr int kProbes = 15;
+    double delta[4];
+    double probes[4][kProbes];
+    for (int l = 0; l < 4; ++l) {
+      const double x = grid[k + l];
+      delta[l] = -x;
+      const double e = FastExp(x);
+      double* probe = probes[l];
+      *probe++ = 0.0;
+      *probe++ = std::ldexp(1.0, -64);
+      *probe++ = kOneBelowOne;
+      for (double edge :
+           {e * (1.0 - 1e-5), e * (1.0 + 1e-5), e, std::exp(x)}) {
+        *probe++ = edge;
+        *probe++ = std::nextafter(edge, 0.0);
+        *probe++ = std::nextafter(edge, 2.0);
+      }
+    }
+    for (int p = 0; p < kProbes; ++p) {
+      double u[4];
+      for (int l = 0; l < 4; ++l) u[l] = probes[l][p];
+      bool accept[4];
+      ScreenLanes(delta, 1.0, u, accept);
+      for (int l = 0; l < 4; ++l) {
+        const bool exact = delta[l] <= 0.0 || u[l] < std::exp(-1.0 * delta[l]);
+        ASSERT_EQ(accept[l], exact)
+            << "x = " << -delta[l] << ", u = " << u[l];
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000000);
+}
+
+TEST(ScalarLanesTest, ScreenHandlesNonFiniteDeltas) {
+  if (!ScalarLanesSupported()) GTEST_SKIP() << "host lacks AVX2";
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double delta[4] = {inf, -inf, nan, 1.0};
+  const double u[4] = {0.0, 0.5, 0.0, 0.25};
+  for (double beta : {0.0, 1.0}) {
+    bool accept[4];
+    ScreenLanes(delta, beta, u, accept);
+    for (int l = 0; l < 4; ++l) {
+      EXPECT_EQ(accept[l],
+                delta[l] <= 0.0 || u[l] < std::exp(-beta * delta[l]))
+          << "delta = " << delta[l] << ", beta = " << beta;
+    }
+  }
+}
+
+/// A 64-bit engine that always returns `word`: UniformReal's conversion
+/// of one given word.
+struct OneWord {
+  using result_type = uint64_t;
+  static constexpr uint64_t min() { return 0; }
+  static constexpr uint64_t max() { return ~uint64_t{0}; }
+  uint64_t word;
+  uint64_t operator()() { return word; }
+};
+
+TEST(ScalarLanesTest, UniformLanesMatchUniformReal) {
+  if (!ScalarLanesSupported()) GTEST_SKIP() << "host lacks AVX2";
+  auto expect_match = [](const uint64_t* words) {
+    double out[4];
+    UniformLanes(words, out);
+    for (int l = 0; l < 4; ++l) {
+      OneWord engine{words[l]};
+      const double expected =
+          std::uniform_real_distribution<double>(0.0, 1.0)(engine);
+      ASSERT_EQ(std::memcmp(&out[l], &expected, sizeof(double)), 0)
+          << "word " << words[l];
+    }
+  };
+  const uint64_t kMax = ~uint64_t{0};
+  const uint64_t edges[8] = {0,         1,          uint64_t{1} << 63,
+                             kMax,      kMax - 1023, kMax - 1024,
+                             kMax - 1,  uint64_t{1} << 53};
+  expect_match(edges);
+  expect_match(edges + 4);
+
+  // Through the real engine: words from one stream, doubles from a twin.
+  Rng words_rng(2026);
+  Rng doubles_rng(2026);
+  for (int k = 0; k < 10000000; k += 4) {
+    uint64_t words[4];
+    for (uint64_t& word : words) word = words_rng.Next();
+    double out[4];
+    UniformLanes(words, out);
+    for (int l = 0; l < 4; ++l) {
+      const double expected = doubles_rng.UniformReal(0.0, 1.0);
+      ASSERT_EQ(std::memcmp(&out[l], &expected, sizeof(double)), 0)
+          << "draw " << k + l;
+    }
+  }
+}
+
+// --------------------------------------------------------------------
+// Whole batches against the scalar reference
+// --------------------------------------------------------------------
+
+TEST(ScalarLanesTest, BatchMatchesScalarReadForRead) {
+  // Final spins and the next engine word after the call, read for read.
+  // Without AVX2 the batch runs the scalar loop and this checks plumbing.
+  const int kSweeps = 48;
+  for (const qubo::IsingProblem& ising : ExactnessProblems()) {
+    const Schedule beta = SuggestedSchedule(ising);
+    const size_t n = static_cast<size_t>(ising.num_spins());
+    for (int count : kReadCounts) {
+      std::vector<Rng> rngs;
+      std::vector<Rng> reference_rngs;
+      std::vector<std::vector<int8_t>> spins(static_cast<size_t>(count),
+                                             std::vector<int8_t>(n));
+      rngs.reserve(static_cast<size_t>(count));
+      for (int r = 0; r < count; ++r) {
+        rngs.emplace_back(1000 + static_cast<uint64_t>(r));
+        RandomSpins(&rngs.back(), &spins[static_cast<size_t>(r)]);
+      }
+      reference_rngs = rngs;
+      std::vector<std::vector<int8_t>> reference_spins = spins;
+      std::vector<SweepRead> reads;
+      for (int r = 0; r < count; ++r) {
+        reads.push_back({&rngs[static_cast<size_t>(r)],
+                         &spins[static_cast<size_t>(r)]});
+        RunSweeps(ising, beta, kSweeps,
+                  &reference_rngs[static_cast<size_t>(r)],
+                  &reference_spins[static_cast<size_t>(r)]);
+      }
+      RunSweepsBatch(ising, beta, kSweeps, reads.data(), count);
+      for (int r = 0; r < count; ++r) {
+        const size_t slot = static_cast<size_t>(r);
+        EXPECT_EQ(spins[slot], reference_spins[slot])
+            << ising.num_spins() << " spins, " << count << " reads, read "
+            << r;
+        EXPECT_EQ(rngs[slot].Next(), reference_rngs[slot].Next())
+            << ising.num_spins() << " spins, " << count << " reads, read "
+            << r;
+      }
+    }
+  }
+}
+
+TEST(ScalarLanesTest, ZeroBetaSweepFlipsEverySpin) {
+  // At beta == 0 every proposal is accepted (u < exp(0) = 1), so each
+  // sweep negates the state in every lane.
   Rng rng(13);
   qubo::IsingProblem glass = ChimeraGlass(3, 3, &rng);
   glass.Finalize();
-  SweepPlan plan(glass);
-  Schedule zero_beta{0.0, 0.0, ScheduleShape::kLinear};
-  for (SweepKernel kernel :
-       {SweepKernel::kScalar, SweepKernel::kCheckerboard,
-        SweepKernel::kCheckerboardFast}) {
-    for (int sweeps : {1, 3}) {
-      std::vector<int8_t> spins(static_cast<size_t>(glass.num_spins()));
-      Rng read_rng(99);
-      RandomSpinsBatched(&read_rng, &spins);
-      std::vector<int8_t> initial(spins);
-      RunSweeps(glass, &plan, zero_beta, sweeps, kernel, &read_rng, &spins);
-      for (size_t i = 0; i < spins.size(); ++i) {
-        EXPECT_EQ(spins[i], sweeps % 2 == 0 ? initial[i] : -initial[i])
-            << SweepKernelName(kernel) << " sweeps=" << sweeps
-            << " spin " << i;
+  const Schedule zero_beta{0.0, 0.0, ScheduleShape::kLinear};
+  for (int sweeps : {1, 3}) {
+    std::vector<Rng> rngs;
+    std::vector<std::vector<int8_t>> spins(
+        4, std::vector<int8_t>(static_cast<size_t>(glass.num_spins())));
+    rngs.reserve(4);
+    std::vector<SweepRead> reads;
+    for (int r = 0; r < 4; ++r) {
+      rngs.emplace_back(99 + static_cast<uint64_t>(r));
+      RandomSpins(&rngs.back(), &spins[static_cast<size_t>(r)]);
+      reads.push_back({&rngs.back(), &spins[static_cast<size_t>(r)]});
+    }
+    const std::vector<std::vector<int8_t>> initial = spins;
+    RunSweepsBatch(glass, zero_beta, sweeps, reads.data(), 4);
+    for (size_t r = 0; r < 4; ++r) {
+      for (size_t i = 0; i < spins[r].size(); ++i) {
+        EXPECT_EQ(spins[r][i], sweeps % 2 == 0 ? initial[r][i] : -initial[r][i])
+            << "sweeps=" << sweeps << " read " << r << " spin " << i;
       }
     }
   }
 }
 
-// --------------------------------------------------------------------
-// Determinism across thread counts
-// --------------------------------------------------------------------
-
-bool SameSamples(const SampleSet& a, const SampleSet& b) {
-  if (a.total_reads() != b.total_reads()) return false;
-  if (a.samples().size() != b.samples().size()) return false;
-  for (size_t i = 0; i < a.samples().size(); ++i) {
-    if (a.samples()[i].assignment != b.samples()[i].assignment) return false;
-    if (a.samples()[i].energy != b.samples()[i].energy) return false;
-    if (a.samples()[i].num_occurrences != b.samples()[i].num_occurrences) {
-      return false;
-    }
-  }
-  return true;
-}
-
-TEST(CheckerboardTest, BitIdenticalAcrossReadAndSweepThreads) {
+TEST(ScalarLanesTest, AnnealReadsSkipsReadsWithoutShiftingOthers) {
   Rng rng(17);
-  qubo::IsingProblem glass = ChimeraGlass(3, 3, &rng);
-  for (SweepKernel kernel :
-       {SweepKernel::kCheckerboard, SweepKernel::kCheckerboardFast}) {
-    SaOptions options;
-    options.num_reads = 8;
-    options.sweeps_per_read = 48;
-    options.seed = 21;
-    options.sweep_kernel = kernel;
-    SampleSet serial = SimulatedAnnealer(options).SampleIsing(glass);
-    for (int num_threads : {2, 4}) {
-      SaOptions parallel = options;
-      parallel.num_threads = num_threads;
-      EXPECT_TRUE(
-          SameSamples(serial, SimulatedAnnealer(parallel).SampleIsing(glass)))
-          << SweepKernelName(kernel) << " num_threads=" << num_threads;
-    }
-    for (int sweep_threads : {0, 2, 3}) {
-      SaOptions fanned = options;
-      fanned.sweep_threads = sweep_threads;
-      EXPECT_TRUE(
-          SameSamples(serial, SimulatedAnnealer(fanned).SampleIsing(glass)))
-          << SweepKernelName(kernel) << " sweep_threads=" << sweep_threads;
-    }
+  qubo::IsingProblem glass = ChimeraGlass(4, 4, &rng);
+  glass.Finalize();
+  const Schedule beta = SuggestedSchedule(glass);
+  const Rng base(23);
+  auto skip = [](int read) { return read % 3 == 1 || read == 8; };
+  std::vector<int> seen;
+  AnnealReads(glass, beta, 32, base, 2, 19, skip,
+              [&](int read, const std::vector<int8_t>& spins) {
+                seen.push_back(read);
+                Rng reference_rng = base.Fork(static_cast<uint64_t>(read));
+                std::vector<int8_t> reference(spins.size());
+                RandomSpins(&reference_rng, &reference);
+                RunSweeps(glass, beta, 32, &reference_rng, &reference);
+                EXPECT_EQ(spins, reference) << "read " << read;
+              });
+  std::vector<int> expected;
+  for (int read = 2; read < 19; ++read) {
+    if (!skip(read)) expected.push_back(read);
   }
+  EXPECT_EQ(seen, expected);
 }
 
-// --------------------------------------------------------------------
-// Energy-quality parity on a 512-spin glass
-// --------------------------------------------------------------------
-
-TEST(SweepKernelTest, KernelsReachParityOn512SpinGlass) {
-  Rng rng(23);
-  qubo::IsingProblem glass = ChimeraGlass(8, 8, &rng);  // 512 spins
-  ASSERT_EQ(glass.num_spins(), 512);
-  double best[3] = {0, 0, 0};
-  int index = 0;
-  for (SweepKernel kernel :
-       {SweepKernel::kScalar, SweepKernel::kCheckerboard,
-        SweepKernel::kCheckerboardFast}) {
-    SaOptions options;
-    options.num_reads = 24;
-    options.sweeps_per_read = 256;
-    options.seed = 5;
-    options.sweep_kernel = kernel;
-    SampleSet samples = SimulatedAnnealer(options).SampleIsing(glass);
-    ASSERT_FALSE(samples.empty());
-    best[index++] = samples.best().energy;
-    // Reported energies are exact re-evaluations under every kernel.
-    for (const Sample& sample : samples.samples()) {
-      EXPECT_NEAR(glass.Energy(sample.assignment.ToSpins()), sample.energy,
-                  1e-9);
-    }
-  }
-  // All kernels sample the same Boltzmann target: best-of-24 energies
-  // agree within a few percent on a glass this size.
-  for (int k = 1; k < 3; ++k) {
-    EXPECT_NEAR(best[k], best[0], 0.03 * std::abs(best[0]))
-        << "kernel " << k << " vs scalar: " << best[k] << " vs " << best[0];
-  }
-}
-
-// --------------------------------------------------------------------
-// SQA kernels
-// --------------------------------------------------------------------
-
-TEST(SqaKernelTest, AllKernelsFindGroundStateOfSmallProblem) {
-  Rng rng(29);
-  qubo::QuboProblem problem(8);
-  for (int i = 0; i < 8; ++i) {
-    problem.AddLinear(i, rng.UniformReal(-4.0, 4.0));
-    for (int j = i + 1; j < 8; ++j) {
-      if (rng.Bernoulli(0.5)) {
-        problem.AddQuadratic(i, j, rng.UniformReal(-4.0, 4.0));
+TEST(ScalarLanesTest, SimulatedAnnealerMatchesScalarAtAnyThreadCount) {
+  for (const qubo::IsingProblem& ising : ExactnessProblems()) {
+    const Schedule beta = SuggestedSchedule(ising);
+    for (int count : kReadCounts) {
+      SaOptions options;
+      options.num_reads = count;
+      options.sweeps_per_read = 32;
+      options.beta = beta;
+      options.seed = 77;
+      // The scalar reference: the sampler's read loop, one read at a time.
+      SampleSet reference;
+      const Rng rng(options.seed);
+      for (int r = 0; r < count; ++r) {
+        Rng read_rng = rng.Fork(static_cast<uint64_t>(r));
+        std::vector<int8_t> spins(static_cast<size_t>(ising.num_spins()));
+        RandomSpins(&read_rng, &spins);
+        RunSweeps(ising, beta, options.sweeps_per_read, &read_rng, &spins);
+        reference.AddSpins(spins, ising.Energy(spins));
+      }
+      reference.Finalize();
+      for (int threads : {1, 2, 4}) {
+        options.num_threads = threads;
+        EXPECT_TRUE(SameSamples(SimulatedAnnealer(options).SampleIsing(ising),
+                                reference))
+            << ising.num_spins() << " spins, " << count << " reads, "
+            << threads << " threads";
       }
     }
   }
-  auto exact = qubo::SolveExhaustive(problem);
-  ASSERT_TRUE(exact.ok());
-  for (SweepKernel kernel :
-       {SweepKernel::kScalar, SweepKernel::kCheckerboard,
-        SweepKernel::kCheckerboardFast}) {
-    SqaOptions options;
-    options.num_reads = 12;
-    options.num_slices = 8;
-    options.sweeps = 128;
-    options.seed = 31;
-    options.sweep_kernel = kernel;
-    SampleSet samples = SimulatedQuantumAnnealer(options).Sample(problem);
-    ASSERT_FALSE(samples.empty());
-    EXPECT_NEAR(samples.best().energy, exact->energy, 1e-9)
-        << SweepKernelName(kernel);
-  }
 }
 
-TEST(SqaKernelTest, CheckerboardDeterministicAcrossThreads) {
-  Rng rng(37);
-  qubo::IsingProblem glass = ChimeraGlass(2, 2, &rng);
-  SqaOptions options;
-  options.num_reads = 6;
-  options.num_slices = 6;
-  options.sweeps = 24;
-  options.seed = 41;
-  options.sweep_kernel = SweepKernel::kCheckerboardFast;
-  SampleSet serial = SimulatedQuantumAnnealer(options).SampleIsing(glass);
-  for (int num_threads : {2, 3}) {
-    SqaOptions parallel = options;
-    parallel.num_threads = num_threads;
-    EXPECT_TRUE(SameSamples(
-        serial, SimulatedQuantumAnnealer(parallel).SampleIsing(glass)));
+TEST(ScalarLanesTest, DeviceDropoutLeavesSurvivingReadsUnchanged) {
+  // Dropped reads are left out of the lane batches, which regroups the
+  // survivors; every survivor must still equal its no-dropout read.
+  const qubo::QuboProblem physical = PaperPhysicalQubo();
+  DWaveOptions options;
+  options.num_reads = 30;
+  options.num_gauges = 2;
+  options.sa_sweeps = 16;
+  options.record_reads = true;
+  options.seed = 5;
+  auto clean = DWaveSimulator(options).Sample(physical);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ASSERT_EQ(clean->raw_reads.size(), options.num_reads);
+
+  util::FaultInjector faults(8);
+  util::FaultSpec dropout;
+  dropout.probability = 0.3;
+  faults.Arm("device.read_dropout", dropout);
+  std::vector<int> survivors;
+  for (int r = 0; r < options.num_reads; ++r) {
+    if (!faults.WouldFail("device.read_dropout", static_cast<uint64_t>(r))) {
+      survivors.push_back(r);
+    }
+  }
+  ASSERT_LT(static_cast<int>(survivors.size()), options.num_reads);
+  for (int threads : {1, 2, 4}) {
+    DWaveOptions faulty = options;
+    faulty.faults = &faults;
+    faulty.num_threads = threads;
+    auto result = DWaveSimulator(faulty).Sample(physical);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->raw_reads.size(), static_cast<int>(survivors.size()));
+    for (size_t k = 0; k < survivors.size(); ++k) {
+      EXPECT_EQ(result->raw_reads.ToBytes(static_cast<int>(k)),
+                clean->raw_reads.ToBytes(survivors[k]))
+          << "read " << survivors[k] << " at " << threads << " threads";
+    }
   }
 }
 
