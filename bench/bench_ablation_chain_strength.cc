@@ -36,6 +36,10 @@ int main() {
   solver::MqoBnbOptions exact_options;
   exact_options.time_limit_ms = 30000.0;
   auto exact = solver::MqoBranchAndBound(exact_options).Solve(instance->problem);
+  if (!exact.ok()) {
+    std::printf("exact solve failed: %s\n", exact.status().ToString().c_str());
+    return 1;
+  }
 
   std::printf("=== Ablation: chain strength scale (x Choi bound) ===\n");
   std::printf("instance: %s, optimum %.1f (%s)\n\n",

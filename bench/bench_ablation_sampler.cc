@@ -35,14 +35,22 @@ int main() {
   exact_options.time_limit_ms = 10000.0;
   auto exact =
       solver::MqoBranchAndBound(exact_options).Solve(instance->problem);
+  if (!exact.ok()) {
+    std::printf("exact solve failed: %s\n", exact.status().ToString().c_str());
+    return 1;
+  }
 
+  // A time-capped B&B reports its incumbent, which an annealer can beat:
+  // the gaps below are then relative to that incumbent, not an optimum.
   std::printf("=== Ablation: sampler backend and gauge averaging ===\n");
-  std::printf("instance: %s, optimum %.1f\n\n",
-              instance->problem.Summary().c_str(), exact->cost);
+  std::printf("instance: %s, %s %.1f (%s)\n\n",
+              instance->problem.Summary().c_str(),
+              exact->proven_optimal ? "optimum" : "B&B best", exact->cost,
+              exact->proven_optimal ? "proven" : "time-capped");
 
   const int reads = FullScale() ? 400 : 150;
   TablePrinter table({"configuration", "first-read cost", "best cost",
-                      "gap to optimum", "sim wall ms"});
+                      "gap to B&B", "sim wall ms"});
   struct Config {
     std::string name;
     anneal::DeviceBackend backend;

@@ -150,9 +150,12 @@ Result<DeviceResult> DWaveSimulator::Sample(
   result.samples.set_max_samples(options_.max_samples);
   if (options_.record_reads) result.raw_reads.Reset(num_spins);
   Rng rng(options_.seed);
-  // One pool for every gauge (and the SQA backend): RunReads maps a null
-  // executor to the shared singleton, so no gauge ever spawns threads.
-  util::Executor* executor = options_.executor;
+  // Each gauge runs its reads under the caller's read contract. A null
+  // executor maps to the shared singleton in RunReads, so no gauge ever
+  // spawns threads.
+  ReadOptions gauge_reads = options_;
+  const bool sqa_backend =
+      options_.backend == DeviceBackend::kSimulatedQuantumAnnealing;
   const int reads_per_gauge =
       std::max(1, options_.num_reads / options_.num_gauges);
   int reads_left = options_.num_reads;
@@ -199,101 +202,68 @@ Result<DeviceResult> DWaveSimulator::Sample(
     }
 
     Rng gauge_rng = rng.Fork(static_cast<uint64_t>(g) * 2 + 1);
-    GaugeTransform gauge =
-        GaugeTransform::Random(converted.ising.num_spins(), &gauge_rng);
+    GaugeTransform gauge = GaugeTransform::Random(num_spins, &gauge_rng);
     // Programming cycle: gauge, scale, and apply control error once.
     qubo::IsingProblem programmed =
         ScaleAndPerturb(gauge.Apply(converted.ising), scale,
                         options_.control_error, options_.h_range,
                         options_.j_range, &gauge_rng);
+    programmed.Finalize();  // shared read-only across worker threads
 
-    if (options_.backend == DeviceBackend::kSimulatedAnnealing) {
-      Schedule beta{0.0, 0.0, ScheduleShape::kGeometric};
+    // The backend only picks the anneal. SA reads fork the gauge stream
+    // itself; SQA reads fork a stream seeded from its next word.
+    Schedule beta{0.0, 0.0, ScheduleShape::kGeometric};
+    if (!sqa_backend) {
       auto [hot, cold] = SuggestBetaRange(programmed);
       beta.start = hot;
       beta.end = cold;
-      programmed.Finalize();  // shared read-only across worker threads
-      // Per-read slots keep `raw_reads` chronological regardless of which
-      // worker executes a read: the arena is sized up front, so workers
-      // pack their own disjoint word ranges with no append racing them.
-      // Dropped reads are never annealed and leave zero slots that the
-      // serial compaction below skips.
-      PackedAssignments gauge_raw(converted.ising.num_spins());
-      if (options_.record_reads) gauge_raw.Resize(reads);
-      SampleSet gauge_samples = RunReads(
-          reads, options_.num_threads,
-          [&, beta](int begin, int end, SampleSet* local) {
-            AnnealReads(
-                programmed, beta, options_.sa_sweeps, gauge_rng, begin, end,
-                [&](int read) {
-                  // Read lost at the (simulated) readout stage.
-                  return !drop_mask.empty() &&
-                         drop_mask[static_cast<size_t>(read)] != 0;
-                },
-                [&](int read, const std::vector<int8_t>& spins) {
-                  std::vector<int8_t> restored = gauge.RestoreSpins(spins);
-                  if (faults != nullptr) {
-                    ApplyReadFaults(
-                        faults, stuck, any_stuck,
-                        !corrupt_mask.empty() &&
-                            corrupt_mask[static_cast<size_t>(read)] != 0,
-                        ReadFaultKey(epoch, read_base + read), &restored);
-                  }
-                  // True energy on the customer's problem, not the noisy
-                  // one.
-                  double energy = physical.EnergySpins(restored);
-                  if (options_.record_reads) {
-                    gauge_raw.StoreSpins(read, restored);
-                  }
-                  local->AddSpins(restored, energy);
-                });
-          },
-          executor, options_.max_samples);
-      result.samples.Append(std::move(gauge_samples));
-      if (options_.record_reads) {
-        if (drop_mask.empty()) {
-          result.raw_reads.AppendAll(gauge_raw);
-        } else {
-          for (int r = 0; r < reads; ++r) {
-            if (!drop_mask[static_cast<size_t>(r)]) {
-              result.raw_reads.AppendFrom(gauge_raw, r);
+    }
+    const Rng read_stream = sqa_backend ? Rng(gauge_rng.Next()) : gauge_rng;
+    // Read lost at the (simulated) readout stage: never annealed.
+    const auto dropped = [&](int read) {
+      return !drop_mask.empty() && drop_mask[static_cast<size_t>(read)] != 0;
+    };
+    // Per-read slots keep `raw_reads` chronological regardless of which
+    // worker executes a read: the arena is sized up front, so workers
+    // pack their own disjoint word ranges with no append racing them.
+    // Dropped reads leave zero slots that the serial compaction below
+    // skips.
+    PackedAssignments gauge_raw(num_spins);
+    if (options_.record_reads) gauge_raw.Resize(reads);
+    gauge_reads.num_reads = reads;
+    SampleSet gauge_samples =
+        RunReads(gauge_reads, [&](int begin, int end, SampleSet* local) {
+          const auto read_out = [&](int read,
+                                    const std::vector<int8_t>& spins) {
+            std::vector<int8_t> restored = gauge.RestoreSpins(spins);
+            if (faults != nullptr) {
+              ApplyReadFaults(faults, stuck, any_stuck,
+                              !corrupt_mask.empty() &&
+                                  corrupt_mask[static_cast<size_t>(read)] != 0,
+                              ReadFaultKey(epoch, read_base + read),
+                              &restored);
             }
-          }
-        }
-      }
-    } else {
-      SqaOptions sqa_options = options_.sqa;
-      sqa_options.num_reads = reads;
-      sqa_options.seed = gauge_rng.Next();
-      sqa_options.num_threads = options_.num_threads;
-      sqa_options.executor = executor;
-      sqa_options.max_samples = options_.max_samples;
-      SimulatedQuantumAnnealer sqa(sqa_options);
-      SampleSet gauge_samples = sqa.SampleIsing(programmed);
-      std::vector<int8_t> spins;
-      int local_read = 0;
-      for (const anneal::Sample& sample : gauge_samples.samples()) {
-        sample.assignment.CopySpinsTo(&spins);
-        std::vector<int8_t> restored = gauge.RestoreSpins(spins);
-        for (int k = 0; k < sample.num_occurrences; ++k) {
-          const int read = local_read++;
-          if (!drop_mask.empty() && drop_mask[static_cast<size_t>(read)]) {
-            continue;
-          }
-          if (faults != nullptr) {
-            std::vector<int8_t> faulted = restored;
-            ApplyReadFaults(
-                faults, stuck, any_stuck,
-                !corrupt_mask.empty() &&
-                    corrupt_mask[static_cast<size_t>(read)] != 0,
-                ReadFaultKey(epoch, read_base + read), &faulted);
-            double energy = physical.EnergySpins(faulted);
-            if (options_.record_reads) result.raw_reads.AppendSpins(faulted);
-            result.samples.AddSpins(faulted, energy);
-          } else {
+            // True energy on the customer's problem, not the noisy one.
             double energy = physical.EnergySpins(restored);
-            if (options_.record_reads) result.raw_reads.AppendSpins(restored);
-            result.samples.AddSpins(restored, energy);
+            if (options_.record_reads) gauge_raw.StoreSpins(read, restored);
+            local->AddSpins(restored, energy);
+          };
+          if (sqa_backend) {
+            AnnealSqaReads(programmed, options_.sqa, read_stream, begin, end,
+                           dropped, read_out);
+          } else {
+            AnnealReads(programmed, beta, options_.sa_sweeps, read_stream,
+                        begin, end, dropped, read_out);
+          }
+        });
+    result.samples.Append(std::move(gauge_samples));
+    if (options_.record_reads) {
+      if (drop_mask.empty()) {
+        result.raw_reads.AppendAll(gauge_raw);
+      } else {
+        for (int r = 0; r < reads; ++r) {
+          if (!drop_mask[static_cast<size_t>(r)]) {
+            result.raw_reads.AppendFrom(gauge_raw, r);
           }
         }
       }

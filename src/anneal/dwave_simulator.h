@@ -36,7 +36,6 @@
 
 namespace qmqo {
 namespace util {
-class Executor;
 class FaultInjector;
 }  // namespace util
 
@@ -48,10 +47,17 @@ enum class DeviceBackend {
   kSimulatedQuantumAnnealing,
 };
 
-/// Options for `DWaveSimulator`, defaults mirroring the paper's setup.
-struct DWaveOptions {
-  /// Total reads (paper: 1000).
-  int num_reads = 1000;
+/// Options for `DWaveSimulator`, defaults mirroring the paper's setup. The
+/// read contract defaults to the paper's 1000 reads, from seed 7; its
+/// thread count fans each programming cycle's reads out, its executor
+/// serves every gauge of a `Sample` call (so a call spawns zero threads
+/// per gauge), and `max_samples` caps `DeviceResult::samples` per gauge
+/// and in the final union (`raw_reads` keeps every read).
+struct DWaveOptions : ReadOptions {
+  DWaveOptions() {
+    num_reads = 1000;
+    seed = 7;
+  }
   /// Random gauges; reads are split evenly (paper: 10).
   int num_gauges = 10;
   /// Modeled device timing per read, microseconds (paper Section 7.1).
@@ -70,28 +76,12 @@ struct DWaveOptions {
   /// Sweeps per read for the SA backend. Bounded so the per-read quality
   /// models the hardware's imperfect (but good) convergence.
   int sa_sweeps = 256;
-  /// Options for the SQA backend (its num_reads/seed fields are ignored).
-  SqaOptions sqa;
+  /// Physics of the SQA backend; its reads follow the read contract above.
+  SqaAnneal sqa;
   /// Keep every read in chronological order in `DeviceResult::raw_reads`
-  /// (needed for best-after-k-runs curves; costs memory).
+  /// (needed for best-after-k-runs curves; costs memory), whichever the
+  /// backend.
   bool record_reads = false;
-  uint64_t seed = 7;
-  /// Worker threads for the read loop within each programming cycle:
-  /// 1 = serial (default), 0 = hardware concurrency. Results are
-  /// bit-identical for every thread count (see anneal/parallel.h). Serial
-  /// `wall_clock_ms` is comparable only across machines that agree on
-  /// AVX2: with it, the SA backend anneals four reads per pass (see
-  /// anneal/sweep_kernel.h).
-  int num_threads = 1;
-  /// Worker pool shared by all gauges of a `Sample` call (and by the SQA
-  /// backend); null = the process-wide `util::Executor::Shared()` pool.
-  /// Either way the pool is created once and reused — a device call spawns
-  /// zero threads per gauge. Never owned.
-  util::Executor* executor = nullptr;
-  /// Streaming top-k retention for `DeviceResult::samples` (0 = unlimited),
-  /// applied per gauge and to the final union; `raw_reads` is unaffected.
-  /// See SaOptions::max_samples.
-  int max_samples = 0;
   /// Fault injection (never owned; null = no faults, one pointer test on
   /// the hot path). Sites queried by the device model:
   ///   "device.program"      per programming cycle (key: epoch x gauges +

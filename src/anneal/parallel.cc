@@ -8,18 +8,18 @@ namespace qmqo {
 namespace anneal {
 
 SampleSet RunReads(
-    int num_reads, int num_threads,
-    const std::function<void(int begin, int end, SampleSet*)>& run_reads,
-    util::Executor* executor, int max_samples) {
+    const ReadOptions& reads,
+    const std::function<void(int begin, int end, SampleSet*)>& run_reads) {
   SampleSet out;
-  out.set_max_samples(max_samples);
-  if (num_reads <= 0) {
+  out.set_max_samples(reads.max_samples);
+  if (reads.num_reads <= 0) {
     out.Finalize();
     return out;
   }
-  const int workers = std::min(ResolveNumThreads(num_threads), num_reads);
+  const int workers =
+      std::min(ResolveNumThreads(reads.num_threads), reads.num_reads);
   if (workers == 1) {
-    run_reads(0, num_reads, &out);
+    run_reads(0, reads.num_reads, &out);
     out.Finalize();
     return out;
   }
@@ -28,11 +28,12 @@ SampleSet RunReads(
   // determinism — Finalize makes the result order-independent — the
   // executor's static contiguous chunking just keeps per-chunk work
   // predictable.
-  util::Executor& pool =
-      executor != nullptr ? *executor : util::Executor::Shared();
+  util::Executor& pool = reads.executor != nullptr
+                             ? *reads.executor
+                             : util::Executor::Shared();
   std::vector<SampleSet> locals(static_cast<size_t>(workers));
-  for (SampleSet& local : locals) local.set_max_samples(max_samples);
-  pool.ParallelFor(num_reads, workers,
+  for (SampleSet& local : locals) local.set_max_samples(reads.max_samples);
+  pool.ParallelFor(reads.num_reads, workers,
                    [&](int begin, int end, int chunk) {
                      run_reads(begin, end,
                                &locals[static_cast<size_t>(chunk)]);

@@ -23,8 +23,7 @@ SampleSet SimulatedAnnealer::SampleIsing(const qubo::IsingProblem& ising) const 
   ising.Finalize();  // shared across worker threads
   const Rng rng(options_.seed);
   return RunReads(
-      options_.num_reads, options_.num_threads,
-      [&, beta](int begin, int end, SampleSet* local) {
+      options_, [&, beta](int begin, int end, SampleSet* local) {
         // Read-out appends the spins bit-packed into the chunk-local
         // arena: no per-read byte vector, no per-sample heap allocation.
         AnnealReads(ising, beta, options_.sweeps_per_read, rng, begin, end,
@@ -32,8 +31,7 @@ SampleSet SimulatedAnnealer::SampleIsing(const qubo::IsingProblem& ising) const 
                     [&](int, const std::vector<int8_t>& spins) {
                       local->AddSpins(spins, ising.Energy(spins));
                     });
-      },
-      options_.executor, options_.max_samples);
+      });
 }
 
 SampleSet SimulatedAnnealer::Sample(const qubo::QuboProblem& problem) const {

@@ -9,9 +9,7 @@
 /// sampler of the `DWaveSimulator` device model. The implementation keeps
 /// per-spin local fields so a Metropolis step costs O(degree).
 
-#include <cstdint>
-#include <vector>
-
+#include "anneal/parallel.h"
 #include "anneal/sample_set.h"
 #include "anneal/schedule.h"
 #include "qubo/ising.h"
@@ -19,35 +17,16 @@
 #include "util/rng.h"
 
 namespace qmqo {
-namespace util {
-class Executor;
-}  // namespace util
-
 namespace anneal {
 
-/// Options for `SimulatedAnnealer`.
-struct SaOptions {
-  /// Independent restarts; each contributes one sample.
-  int num_reads = 100;
+/// Options for `SimulatedAnnealer`: the shared read contract (100 reads
+/// from seed 1 by default) plus the annealing schedule.
+struct SaOptions : ReadOptions {
   /// Full sweeps over all spins per read.
   int sweeps_per_read = 1000;
   /// Inverse-temperature ramp; non-positive start/end triggers the
   /// `SuggestBetaRange` heuristic per problem.
   Schedule beta{0.0, 0.0, ScheduleShape::kGeometric};
-  uint64_t seed = 1;
-  /// Worker threads for the read loop: 1 = serial (default; wall-clock
-  /// measurements then still depend on whether the host has AVX2, see
-  /// `ScalarLanesSupported`), 0 = hardware concurrency. Results are bit-identical for every thread count (see
-  /// anneal/parallel.h).
-  int num_threads = 1;
-  /// Worker pool to fan reads across when `num_threads != 1`; null = the
-  /// process-wide `util::Executor::Shared()` pool. Never owned.
-  util::Executor* executor = nullptr;
-  /// Streaming top-k retention: keep only the best `max_samples` distinct
-  /// assignments (0 = unlimited). Top-k membership, energies, and
-  /// occurrence counts are exact and thread-count independent;
-  /// `SampleSet::total_reads` still counts every read.
-  int max_samples = 0;
 };
 
 /// Metropolis simulated annealing sampler.

@@ -78,13 +78,6 @@ class SqaState {
     }
   }
 
-  /// Exact energy of slice k (recomputed from scratch; used for read-out
-  /// only, so cached-field drift never reaches reported energies).
-  double SliceEnergy(int k) const {
-    std::vector<int8_t> slice(slice_spins(k), slice_spins(k) + n_);
-    return ising_.Energy(slice);
-  }
-
  private:
   const qubo::IsingProblem& ising_;
   int n_;
@@ -137,45 +130,56 @@ void ScalarStep(SqaState* state, int n, int p, double beta_slice,
 
 }  // namespace
 
+void AnnealSqaReads(const qubo::IsingProblem& ising, const SqaAnneal& anneal,
+                    const Rng& base, int begin, int end,
+                    const std::function<bool(int)>& skip,
+                    const std::function<void(int, const std::vector<int8_t>&)>&
+                        done) {
+  const int n = ising.num_spins();
+  const int p = anneal.num_slices;
+  assert(p >= 2);
+  const double beta_slice = anneal.beta / static_cast<double>(p);
+  std::vector<int8_t> slice(static_cast<size_t>(n));
+  std::vector<int8_t> best(static_cast<size_t>(n));
+  for (int read = begin; read < end; ++read) {
+    if (skip && skip(read)) continue;
+    Rng read_rng = base.Fork(static_cast<uint64_t>(read));
+    SqaState state(ising, p, &read_rng);
+    for (int step = 0; step < anneal.sweeps; ++step) {
+      double gamma = anneal.gamma.At(step, anneal.sweeps);
+      gamma = std::max(gamma, 1e-9);
+      // Inter-slice ferromagnetic coupling; positive, diverging as
+      // gamma -> 0. The energy term is −j_perp * s_{k,i} * s_{k+1,i}.
+      double j_perp =
+          -0.5 / beta_slice * std::log(std::tanh(beta_slice * gamma));
+      ScalarStep(&state, n, p, beta_slice, j_perp, &read_rng);
+    }
+
+    // Read out the best slice. Energies are recomputed exactly, so
+    // cached-field drift never picks the slice.
+    double best_energy = std::numeric_limits<double>::infinity();
+    for (int k = 0; k < p; ++k) {
+      slice.assign(state.slice_spins(k), state.slice_spins(k) + n);
+      const double energy = ising.Energy(slice);
+      if (energy < best_energy) {
+        best_energy = energy;
+        best.swap(slice);
+      }
+    }
+    done(read, best);
+  }
+}
+
 SampleSet SimulatedQuantumAnnealer::SampleIsing(
     const qubo::IsingProblem& ising) const {
-  const int n = ising.num_spins();
-  const int p = options_.num_slices;
-  assert(p >= 2);
-  const double beta_slice = options_.beta / static_cast<double>(p);
   ising.Finalize();  // shared across worker threads
   const Rng rng(options_.seed);
-
-  return RunReads(
-      options_.num_reads, options_.num_threads,
-      [&](int begin, int end, SampleSet* local) {
-        for (int read = begin; read < end; ++read) {
-          Rng read_rng = rng.Fork(static_cast<uint64_t>(read));
-          SqaState state(ising, p, &read_rng);
-          for (int step = 0; step < options_.sweeps; ++step) {
-            double gamma = options_.gamma.At(step, options_.sweeps);
-            gamma = std::max(gamma, 1e-9);
-            // Inter-slice ferromagnetic coupling; positive, diverging as
-            // gamma -> 0. The energy term is −j_perp * s_{k,i} * s_{k+1,i}.
-            double j_perp =
-                -0.5 / beta_slice * std::log(std::tanh(beta_slice * gamma));
-            ScalarStep(&state, n, p, beta_slice, j_perp, &read_rng);
-          }
-
-          // Read out the best slice (energies recomputed exactly).
-          double best_energy = std::numeric_limits<double>::infinity();
-          int best_slice = 0;
-          for (int k = 0; k < p; ++k) {
-            double energy = state.SliceEnergy(k);
-            if (energy < best_energy) {
-              best_energy = energy;
-              best_slice = k;
-            }
-          }
-          local->AddSpins(state.slice_spins(best_slice), n, best_energy);
-        }
-      },
-      options_.executor, options_.max_samples);
+  return RunReads(options_, [&](int begin, int end, SampleSet* local) {
+    AnnealSqaReads(ising, options_, rng, begin, end, nullptr,
+                   [&](int, const std::vector<int8_t>& spins) {
+                     local->AddSpins(spins, ising.Energy(spins));
+                   });
+  });
 }
 
 SampleSet SimulatedQuantumAnnealer::Sample(const qubo::QuboProblem& problem) const {

@@ -18,8 +18,10 @@
 /// global (all-slice) spin flips.
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "anneal/parallel.h"
 #include "anneal/sample_set.h"
 #include "anneal/schedule.h"
 #include "qubo/ising.h"
@@ -27,15 +29,11 @@
 #include "util/rng.h"
 
 namespace qmqo {
-namespace util {
-class Executor;
-}  // namespace util
-
 namespace anneal {
 
-/// Options for `SimulatedQuantumAnnealer`.
-struct SqaOptions {
-  int num_reads = 100;
+/// The physics of one SQA read: the Trotter decomposition and the
+/// transverse-field ramp it is annealed along.
+struct SqaAnneal {
   /// Trotter slices P.
   int num_slices = 16;
   /// Annealing steps; each step sweeps every slice once plus one global
@@ -45,19 +43,24 @@ struct SqaOptions {
   double beta = 16.0;
   /// Transverse-field ramp (linear, as on the hardware).
   Schedule gamma{3.0, 0.01, ScheduleShape::kLinear};
-  uint64_t seed = 1;
-  /// Worker threads for the read loop: 1 = serial (default, keeps
-  /// wall-clock measurements comparable across machines), 0 = hardware
-  /// concurrency. Results are bit-identical for every thread count (see
-  /// anneal/parallel.h).
-  int num_threads = 1;
-  /// Worker pool to fan reads across when `num_threads != 1`; null = the
-  /// process-wide `util::Executor::Shared()` pool. Never owned.
-  util::Executor* executor = nullptr;
-  /// Streaming top-k retention for the returned SampleSet (0 = unlimited);
-  /// see SaOptions::max_samples.
-  int max_samples = 0;
 };
+
+/// Options for `SimulatedQuantumAnnealer`: the shared read contract (100
+/// reads from seed 1 by default) plus the SQA physics.
+struct SqaOptions : ReadOptions, SqaAnneal {};
+
+/// Anneals the reads in [begin, end) of one SQA call: read r forks
+/// `base.Fork(r)`, draws its P random slices, and runs `anneal.sweeps`
+/// steps. Reads for which `skip(r)` holds (may be empty) are not annealed.
+/// `done(r, spins)` sees every annealed read in ascending order, with the
+/// spins of its lowest-energy slice (the first of equal minima). Each
+/// read's spins depend on (base, r) alone, so any partition of a call's
+/// reads into ranges yields the same reads. `ising` must be finalized.
+void AnnealSqaReads(const qubo::IsingProblem& ising, const SqaAnneal& anneal,
+                    const Rng& base, int begin, int end,
+                    const std::function<bool(int)>& skip,
+                    const std::function<void(int, const std::vector<int8_t>&)>&
+                        done);
 
 /// Path-integral Monte Carlo sampler.
 class SimulatedQuantumAnnealer {

@@ -120,38 +120,35 @@ AttemptOutcome RunAttempt(const SolvePolicy& policy, const SolveTarget& target,
       out.status = Status::OK();
       return out;
     }
-    case SolveBackend::kSqa: {
-      anneal::SqaOptions sqa;
-      sqa.num_reads = policy.sqa_reads;
-      sqa.num_slices = policy.sqa_slices;
-      sqa.sweeps = policy.sqa_sweeps;
-      sqa.seed =
-          Rng(policy.seed).Fork(0x50aULL + static_cast<uint64_t>(attempt))
-              .Next();
-      sqa.num_threads = options.device.num_threads;
-      sqa.executor = options.device.executor;
-      anneal::SampleSet set =
-          anneal::SimulatedQuantumAnnealer(sqa).Sample(target.qubo());
-      if (set.empty()) {
-        out.status = Status::Internal("SQA backend returned no samples");
-        return out;
-      }
-      set.best().assignment.CopyBytesTo(&read);
-      break;
-    }
+    case SolveBackend::kSqa:
     case SolveBackend::kSa: {
-      anneal::SaOptions sa;
-      sa.num_reads = policy.sa_reads;
-      sa.sweeps_per_read = policy.sa_sweeps;
-      sa.seed =
-          Rng(policy.seed).Fork(0x5aULL + static_cast<uint64_t>(attempt))
-              .Next();
-      sa.num_threads = options.device.num_threads;
-      sa.executor = options.device.executor;
-      anneal::SampleSet set =
-          anneal::SimulatedAnnealer(sa).Sample(target.qubo());
+      // The classical samplers borrow only the device's threads and pool.
+      const bool sqa = backend == SolveBackend::kSqa;
+      anneal::ReadOptions reads;
+      reads.num_reads = sqa ? policy.sqa_reads : policy.sa_reads;
+      reads.seed = Rng(policy.seed)
+                       .Fork((sqa ? 0x50aULL : 0x5aULL) +
+                             static_cast<uint64_t>(attempt))
+                       .Next();
+      reads.num_threads = options.device.num_threads;
+      reads.executor = options.device.executor;
+      anneal::SampleSet set;
+      if (sqa) {
+        anneal::SqaOptions sqa_options;
+        static_cast<anneal::ReadOptions&>(sqa_options) = reads;
+        sqa_options.num_slices = policy.sqa_slices;
+        sqa_options.sweeps = policy.sqa_sweeps;
+        set = anneal::SimulatedQuantumAnnealer(sqa_options)
+                  .Sample(target.qubo());
+      } else {
+        anneal::SaOptions sa_options;
+        static_cast<anneal::ReadOptions&>(sa_options) = reads;
+        sa_options.sweeps_per_read = policy.sa_sweeps;
+        set = anneal::SimulatedAnnealer(sa_options).Sample(target.qubo());
+      }
       if (set.empty()) {
-        out.status = Status::Internal("SA backend returned no samples");
+        out.status = Status::Internal(StrFormat(
+            "%s backend returned no samples", sqa ? "SQA" : "SA"));
         return out;
       }
       set.best().assignment.CopyBytesTo(&read);

@@ -199,8 +199,8 @@ class ResilientSolver {
   /// Solves `target` under the policy. Never throws; always returns a
   /// report (with `ok == false` only when every ladder backend failed,
   /// which requires fault-injecting the last resort). `options` configures
-  /// the device rung exactly like `SolveQuantumMqo`; its executor, thread
-  /// count, and sweep kernel are reused by the classical samplers.
+  /// the device rung exactly like `SolveQuantumMqo`; the SQA and SA rungs
+  /// read with its device thread count and executor.
   SolveReport Solve(const SolveTarget& target,
                     const QuantumMqoOptions& options) const;
 

@@ -14,6 +14,7 @@
 #include "anneal/simulated_annealer.h"
 #include "anneal/sqa.h"
 #include "qubo/qubo.h"
+#include "util/fault.h"
 #include "util/rng.h"
 
 namespace qmqo {
@@ -45,6 +46,15 @@ qubo::QuboProblem RandomQubo(int num_vars, double density, Rng* rng) {
   return problem;
 }
 
+ReadOptions Reads(int num_reads, int num_threads,
+                  util::Executor* executor = nullptr) {
+  ReadOptions reads;
+  reads.num_reads = num_reads;
+  reads.num_threads = num_threads;
+  reads.executor = executor;
+  return reads;
+}
+
 /// Exact equality — bit-identical energies, not approximate.
 void ExpectIdentical(const SampleSet& a, const SampleSet& b) {
   EXPECT_EQ(a.total_reads(), b.total_reads());
@@ -59,7 +69,7 @@ void ExpectIdentical(const SampleSet& a, const SampleSet& b) {
 TEST(RunReadsTest, PartitionsEveryReadExactlyOnce) {
   for (int threads : {1, 2, 3, 8, 16}) {
     SampleSet set =
-        RunReads(13, threads, [](int begin, int end, SampleSet* local) {
+        RunReads(Reads(13, threads), [](int begin, int end, SampleSet* local) {
           for (int read = begin; read < end; ++read) {
             local->Add(Bits(read, 4), static_cast<double>(read));
           }
@@ -74,20 +84,20 @@ TEST(RunReadsTest, PartitionsEveryReadExactlyOnce) {
 }
 
 TEST(RunReadsTest, ZeroReadsYieldsEmptyFinalizedSet) {
-  SampleSet set = RunReads(0, 4, [](int, int, SampleSet*) { FAIL(); });
+  SampleSet set = RunReads(Reads(0, 4), [](int, int, SampleSet*) { FAIL(); });
   EXPECT_TRUE(set.empty());
   EXPECT_EQ(set.total_reads(), 0);
 }
 
 TEST(RunReadsTest, MoreThreadsThanReads) {
-  SampleSet set = RunReads(3, 16, [](int begin, int end, SampleSet* local) {
+  SampleSet set = RunReads(Reads(3, 16), [](int begin, int end, SampleSet* local) {
     for (int read = begin; read < end; ++read) local->Add(Bits(read, 2), 0.0);
   });
   EXPECT_EQ(set.total_reads(), 3);
 }
 
 TEST(RunReadsTest, WorkerExceptionPropagates) {
-  EXPECT_THROW(RunReads(8, 4,
+  EXPECT_THROW(RunReads(Reads(8, 4),
                         [](int begin, int end, SampleSet*) {
                           if (begin <= 5 && 5 < end) {
                             throw std::runtime_error("boom");
@@ -101,13 +111,11 @@ TEST(RunReadsTest, CallerSuppliedExecutorIsReusedNotRespawned) {
   const int64_t spawned = util::Executor::TotalWorkersSpawned();
   for (int round = 0; round < 5; ++round) {
     SampleSet set = RunReads(
-        11, 4,
-        [](int begin, int end, SampleSet* local) {
+        Reads(11, 4, &executor), [](int begin, int end, SampleSet* local) {
           for (int read = begin; read < end; ++read) {
             local->Add(Bits(read, 4), static_cast<double>(read));
           }
-        },
-        &executor);
+        });
     EXPECT_EQ(set.total_reads(), 11);
   }
   EXPECT_EQ(util::Executor::TotalWorkersSpawned(), spawned);
@@ -117,7 +125,7 @@ TEST(RunReadsTest, SharedPoolFallbackSpawnsNothingPerCall) {
   util::Executor::Shared();  // force the one-time lazy construction
   const int64_t spawned = util::Executor::TotalWorkersSpawned();
   for (int round = 0; round < 3; ++round) {
-    SampleSet set = RunReads(7, 3, [](int begin, int end, SampleSet* local) {
+    SampleSet set = RunReads(Reads(7, 3), [](int begin, int end, SampleSet* local) {
       for (int read = begin; read < end; ++read) {
         local->Add(Bits(read, 3), 0.0);
       }
@@ -192,14 +200,107 @@ TEST(ParallelDeterminismTest, DeviceSimulatorSqaBackendMatchesSerial) {
   options.sqa.num_slices = 4;
   options.sqa.sweeps = 32;
   options.seed = 5;
-  options.num_threads = 1;
-  auto serial = DWaveSimulator(options).Sample(problem);
-  ASSERT_TRUE(serial.ok());
-  for (int threads : kThreadCounts) {
-    options.num_threads = threads;
-    auto parallel = DWaveSimulator(options).Sample(problem);
-    ASSERT_TRUE(parallel.ok());
-    ExpectIdentical(serial->samples, parallel->samples);
+  options.record_reads = true;
+  util::FaultInjector faults(3);
+  util::FaultSpec dropout;
+  dropout.probability = 0.2;
+  faults.Arm("device.read_dropout", dropout);
+  util::FaultSpec breaks;
+  breaks.probability = 0.3;
+  breaks.intensity = 2;
+  faults.Arm("device.chain_break", breaks);
+  const util::FaultInjector* const injectors[] = {&faults, nullptr};
+  for (const util::FaultInjector* injector : injectors) {
+    options.faults = injector;
+    options.num_threads = 1;
+    auto serial = DWaveSimulator(options).Sample(problem);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    EXPECT_EQ(serial->raw_reads.size(),
+              options.num_reads - serial->dropped_reads);
+    for (int threads : {2, 4, 8}) {
+      options.num_threads = threads;
+      auto parallel = DWaveSimulator(options).Sample(problem);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      ExpectIdentical(serial->samples, parallel->samples);
+      EXPECT_EQ(serial->raw_reads, parallel->raw_reads) << threads;
+      EXPECT_EQ(serial->dropped_reads, parallel->dropped_reads) << threads;
+    }
+  }
+  EXPECT_GT(faults.FaultCount("device.read_dropout"), 0);
+  EXPECT_GT(faults.FaultCount("device.chain_break"), 0);
+}
+
+// `raw_reads` records reads in the order they were drawn, whichever the
+// backend: with one gauge, a 20-read call reads exactly the first 20 reads
+// of a 30-read call.
+TEST(ParallelDeterminismTest, DeviceRawReadsArePrefixStable) {
+  Rng rng(48);
+  qubo::QuboProblem problem = RandomQubo(12, 0.4, &rng);
+  for (DeviceBackend backend : {DeviceBackend::kSimulatedAnnealing,
+                                DeviceBackend::kSimulatedQuantumAnnealing}) {
+    DWaveOptions options;
+    options.backend = backend;
+    options.num_gauges = 1;
+    options.sa_sweeps = 16;
+    options.sqa.num_slices = 4;
+    options.sqa.sweeps = 16;
+    options.sqa.beta = 1.0;  // hot enough that the reads differ
+    options.seed = 21;
+    options.record_reads = true;
+    options.num_reads = 30;
+    auto longer = DWaveSimulator(options).Sample(problem);
+    options.num_reads = 20;
+    auto shorter = DWaveSimulator(options).Sample(problem);
+    ASSERT_TRUE(longer.ok());
+    ASSERT_TRUE(shorter.ok());
+    ASSERT_EQ(longer->raw_reads.size(), 30);
+    ASSERT_EQ(shorter->raw_reads.size(), 20);
+    for (int read = 0; read < 20; ++read) {
+      EXPECT_EQ(shorter->raw_reads.ToBytes(read),
+                longer->raw_reads.ToBytes(read))
+          << "backend " << static_cast<int>(backend) << ", read " << read;
+    }
+  }
+}
+
+// Top-k retention caps `samples` only: `raw_reads` keeps every read, and
+// the capped samples are the uncapped call's best three.
+TEST(ParallelDeterminismTest, DeviceMaxSamplesKeepsEveryRawRead) {
+  Rng rng(49);
+  qubo::QuboProblem problem = RandomQubo(16, 0.4, &rng);
+  for (DeviceBackend backend : {DeviceBackend::kSimulatedAnnealing,
+                                DeviceBackend::kSimulatedQuantumAnnealing}) {
+    DWaveOptions options;
+    options.backend = backend;
+    options.num_reads = 40;
+    options.num_gauges = 4;
+    options.control_error = 0.2;  // spreads the reads over many states
+    options.sa_sweeps = 2;
+    options.sqa.num_slices = 4;
+    options.sqa.sweeps = 2;
+    options.sqa.beta = 1.0;
+    options.seed = 17;
+    options.record_reads = true;
+    auto uncapped = DWaveSimulator(options).Sample(problem);
+    options.max_samples = 3;
+    auto capped = DWaveSimulator(options).Sample(problem);
+    ASSERT_TRUE(uncapped.ok());
+    ASSERT_TRUE(capped.ok());
+    EXPECT_EQ(capped->raw_reads.size(), options.num_reads)
+        << "backend " << static_cast<int>(backend);
+    EXPECT_EQ(capped->raw_reads, uncapped->raw_reads)
+        << "backend " << static_cast<int>(backend);
+    EXPECT_EQ(capped->samples.total_reads(), options.num_reads);
+    ASSERT_GT(uncapped->samples.size(), 3u);
+    ASSERT_EQ(capped->samples.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(capped->samples.samples()[i].assignment,
+                uncapped->samples.samples()[i].assignment);
+      EXPECT_EQ(capped->samples.samples()[i].energy,
+                uncapped->samples.samples()[i].energy);
+      EXPECT_EQ(capped->samples.samples()[i].num_occurrences,
+                uncapped->samples.samples()[i].num_occurrences);
+    }
   }
 }
 
