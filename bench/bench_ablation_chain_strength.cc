@@ -16,10 +16,7 @@
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
-int main() {
-  using namespace qmqo;
-  using namespace qmqo::bench;
-
+qmqo::Status qmqo::bench::RunAblationChainStrength() {
   // A 3-plan class on a mid-size chip: chains of length 2, so chain
   // breaking is actually possible (the 2-plan class has 1-qubit chains).
   chimera::ChimeraGraph graph(6, 6, 4);
@@ -28,18 +25,11 @@ int main() {
   workload.saving_scale = 2.0;  // the Figures 4-6 calibration
   Rng rng(5);
   auto instance = harness::GeneratePaperInstance(graph, workload, &rng);
-  if (!instance.ok()) {
-    std::printf("generation failed: %s\n",
-                instance.status().ToString().c_str());
-    return 1;
-  }
+  QMQO_RETURN_IF_ERROR(instance.status());
   solver::MqoBnbOptions exact_options;
   exact_options.time_limit_ms = 30000.0;
   auto exact = solver::MqoBranchAndBound(exact_options).Solve(instance->problem);
-  if (!exact.ok()) {
-    std::printf("exact solve failed: %s\n", exact.status().ToString().c_str());
-    return 1;
-  }
+  QMQO_RETURN_IF_ERROR(exact.status());
 
   std::printf("=== Ablation: chain strength scale (x Choi bound) ===\n");
   std::printf("instance: %s, optimum %.1f (%s)\n\n",
@@ -59,10 +49,7 @@ int main() {
     auto result = harness::SolveQuantumMqo(instance->problem,
                                            instance->embedding, graph,
                                            options);
-    if (!result.ok()) {
-      std::printf("pipeline failed: %s\n", result.status().ToString().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(result.status());
     table.AddRow({StrFormat("%.2fx", scale),
                   StrFormat("%.1f%%", 100.0 * result->broken_chain_read_fraction),
                   StrFormat("%.1f%%", 100.0 * result->valid_read_fraction),
@@ -76,5 +63,5 @@ int main() {
       "(expected shape: heavy chain breaking at small scales; near-zero\n"
       "breaking and optimal quality around 1.0x; degrading first-read\n"
       "quality as over-strong chains compress the problem signal)\n");
-  return 0;
+  return Status::OK();
 }

@@ -7,14 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "embedding/clustered.h"
 #include "embedding/triad.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
-int main() {
-  using namespace qmqo;
-
+qmqo::Status qmqo::bench::RunAblationEmbedding() {
   chimera::ChimeraGraph graph = chimera::ChimeraGraph::DWave2X();
 
   std::printf("=== Ablation: global TRIAD vs clustered embedding ===\n\n");
@@ -47,5 +46,5 @@ int main() {
       "at 48 logical variables on 1152 qubits — 24 two-plan queries; the\n"
       "clustered pattern hosts 144+ queries by restricting inter-cluster\n"
       "couplings, exactly the paper's Theorem 2/3 trade-off)\n");
-  return 0;
+  return Status::OK();
 }

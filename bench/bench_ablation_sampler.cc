@@ -14,10 +14,7 @@
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
-int main() {
-  using namespace qmqo;
-  using namespace qmqo::bench;
-
+qmqo::Status qmqo::bench::RunAblationSampler() {
   chimera::ChimeraGraph graph(4, 4, 4);
   harness::PaperWorkloadOptions workload;
   workload.plans_per_query = 2;
@@ -26,19 +23,12 @@ int main() {
   workload.saving_scale = 5.0;
   Rng rng(3);
   auto instance = harness::GeneratePaperInstance(graph, workload, &rng);
-  if (!instance.ok()) {
-    std::printf("generation failed: %s\n",
-                instance.status().ToString().c_str());
-    return 1;
-  }
+  QMQO_RETURN_IF_ERROR(instance.status());
   solver::MqoBnbOptions exact_options;
   exact_options.time_limit_ms = 10000.0;
   auto exact =
       solver::MqoBranchAndBound(exact_options).Solve(instance->problem);
-  if (!exact.ok()) {
-    std::printf("exact solve failed: %s\n", exact.status().ToString().c_str());
-    return 1;
-  }
+  QMQO_RETURN_IF_ERROR(exact.status());
 
   // A time-capped B&B reports its incumbent, which an annealer can beat:
   // the gaps below are then relative to that incumbent, not an optimum.
@@ -84,10 +74,7 @@ int main() {
     auto result = harness::SolveQuantumMqo(instance->problem,
                                            instance->embedding, graph,
                                            options);
-    if (!result.ok()) {
-      std::printf("pipeline failed: %s\n", result.status().ToString().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(result.status());
     table.AddRow({config.name, StrFormat("%.1f", result->first_read_cost),
                   StrFormat("%.1f", result->best_cost),
                   StrFormat("%+.2f%%", 100.0 * (result->best_cost - exact->cost) /
@@ -98,5 +85,5 @@ int main() {
   std::printf(
       "(expected shape: gauge averaging recovers quality lost to control\n"
       "error; SQA matches SA quality at higher simulation cost)\n");
-  return 0;
+  return Status::OK();
 }

@@ -36,6 +36,7 @@
 #include "util/executor.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -168,7 +169,7 @@ bool BenchEngine(const std::string& engine, const std::vector<int>& threads,
 
 }  // namespace
 
-int main() {
+qmqo::Status qmqo::bench::RunAnnealer() {
   const bool full = bench::FullScale();
   Rng instance_rng(2048);
   qubo::IsingProblem glass = MakeChimeraGlass(&instance_rng);
@@ -245,7 +246,7 @@ int main() {
   // records over the retained count); the unpacked reference is the
   // byte-vector representation this storage replaced — one heap
   // `std::vector<uint8_t>` per sample (n payload bytes + vector header)
-  // plus the energy/count fields. diff_bench.py gates the ratio at >= 4x
+  // plus the energy/count fields. The artifact gates the ratio at >= 4x
   // for the 2048-spin instance. ---
   const size_t retained = sa_serial.samples.samples().size();
   const double bytes_per_sample =
@@ -319,7 +320,7 @@ int main() {
   // on a 4x4x4 paper instance through the shared pool. The interesting
   // numbers are the fault/retry/fallback totals — all must stay zero in
   // the default bench (one null-pointer test per fault site is the entire
-  // cost of the fault machinery), which diff_bench.py gates. ---
+  // cost of the fault machinery), which the artifact gates. ---
   double resilient_wall_ms = 0.0;
   harness::SolveReport solve_report;
   // Traced (the per-stage rows below come from its span tree); the timed
@@ -333,11 +334,7 @@ int main() {
     workload.plans_per_query = 2;
     workload.num_queries = 16;
     auto paper = harness::GeneratePaperInstance(chip, workload, &workload_rng);
-    if (!paper.ok()) {
-      std::fprintf(stderr, "paper workload failed: %s\n",
-                   paper.status().message().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(paper.status());
     harness::SolvePolicy policy;
     policy.seed = 7;
     harness::QuantumMqoOptions solve_options;
@@ -350,18 +347,13 @@ int main() {
     Stopwatch clock;
     auto target = harness::MqoWorkload::Create(
         std::move(paper->problem), std::move(paper->embedding), &chip);
-    if (!target.ok()) {
-      std::fprintf(stderr, "formulation failed: %s\n",
-                   target.status().message().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(target.status());
     solve_report =
         harness::ResilientSolver(policy).Solve(**target, solve_options);
     resilient_wall_ms = clock.ElapsedMillis();
     if (!solve_report.ok) {
-      std::fprintf(stderr, "resilient solve failed: %s\n",
-                   solve_report.FailureChain().c_str());
-      return 1;
+      return Status::Internal("resilient solve failed: " +
+                              solve_report.FailureChain());
     }
     std::printf(
         "resilient solve: backend=%s wall=%.1f ms cost=%.1f faults=%lld "
@@ -427,23 +419,21 @@ int main() {
       .Add("workers_spawned_during_runs",
            static_cast<int64_t>(workers_spawned_during_runs))
       .AddRaw("runs", rows.Dump());
-  std::string path = bench::WriteBenchArtifact("annealer", root);
-  if (path.empty()) {
-    std::fprintf(stderr, "failed to write BENCH_annealer.json\n");
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
+  bench::Gates gates;
+  gates.metric = "sweep_spins_per_sec";
+  gates.floors = {{"packed_memory_reduction", 4.0}};
+  gates.flags = {"all_identical_to_serial"};
+  gates.row_flags = {"identical_to_serial"};
+  gates.zero = {"injected_faults", "solver_retries", "solver_fallbacks",
+                "workers_spawned_during_runs"};
+  QMQO_RETURN_IF_ERROR(bench::WriteBenchArtifact("annealer", root, gates));
   if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: parallel sample sets differ from the serial path\n");
-    return 1;
+    return Status::Internal("parallel sample sets differ from the serial path");
   }
   if (workers_spawned_during_runs != 0) {
-    std::fprintf(stderr,
-                 "FAIL: engines spawned %lld threads instead of reusing the "
-                 "shared pool\n",
-                 static_cast<long long>(workers_spawned_during_runs));
-    return 1;
+    return Status::Internal(StrFormat(
+        "engines spawned %lld threads instead of reusing the shared pool",
+        static_cast<long long>(workers_spawned_during_runs)));
   }
-  return 0;
+  return Status::OK();
 }

@@ -2,7 +2,8 @@
 #define QMQO_BENCH_BENCH_COMMON_H_
 
 /// \file bench_common.h
-/// Shared configuration for the reproduction benches.
+/// Shared configuration for the reproduction benches, and the targets the
+/// one bench executable (qmqo_bench) runs by name.
 ///
 /// By default every bench runs a scaled-down configuration (fewer
 /// instances, shorter classical time budgets) so the whole suite finishes
@@ -15,10 +16,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "embedding/capacity.h"
 #include "harness/experiment.h"
+#include "util/status.h"
 
 namespace qmqo {
 namespace bench {
@@ -125,6 +129,10 @@ class JsonArray {
     entries_.push_back(object.Dump());
     return *this;
   }
+  JsonArray& Add(const std::string& value) {
+    entries_.push_back(JsonObject::Quote(value));
+    return *this;
+  }
   std::string Dump() const {
     std::string out = "[";
     for (size_t i = 0; i < entries_.size(); ++i) {
@@ -139,19 +147,93 @@ class JsonArray {
   std::vector<std::string> entries_;
 };
 
-/// Writes `root` to BENCH_<name>.json in QMQO_BENCH_OUT_DIR (default: the
-/// working directory). Returns the path written, or "" on failure.
-inline std::string WriteBenchArtifact(const std::string& name,
-                                      const JsonObject& root) {
+/// The pass/fail contract of a gated bench, written into its artifact as
+/// `gates`. bench/diff_bench.py applies it against the committed baseline
+/// and fails when the fresh artifact drops a baseline gate or loosens its
+/// bound, so the bench that emits a field also owns its limit.
+struct Gates {
+  /// Per-row throughput field compared row by row with the baseline.
+  std::string metric;
+  /// Tolerated drop of `metric` against the baseline, in percent. The
+  /// committed baselines come from a slow 1-core container and bench
+  /// hosts differ, so 75% makes this a cliff detector (a >4x slowdown),
+  /// not a noise gate.
+  double max_regression_pct = 75.0;
+  /// Machine-independent ratios (two timings or sizes from one process)
+  /// and their minimum values.
+  std::vector<std::pair<std::string, double>> floors;
+  /// Top-level fields that must be true.
+  std::vector<std::string> flags;
+  /// Fields that must be true in every row of `runs`.
+  std::vector<std::string> row_flags;
+  /// Counters that must be exactly zero.
+  std::vector<std::string> zero;
+
+  std::string Dump() const {
+    JsonObject floor_object;
+    for (const auto& [field, minimum] : floors) {
+      floor_object.Add(field, minimum);
+    }
+    auto names = [](const std::vector<std::string>& fields) {
+      JsonArray array;
+      for (const std::string& field : fields) array.Add(field);
+      return array.Dump();
+    };
+    JsonObject out;
+    out.Add("metric", metric)
+        .Add("max_regression_pct", max_regression_pct)
+        .AddRaw("floors", floor_object.Dump())
+        .AddRaw("flags", names(flags))
+        .AddRaw("row_flags", names(row_flags))
+        .AddRaw("zero", names(zero));
+    return out.Dump();
+  }
+};
+
+/// The host an artifact was measured on: the same four facts the
+/// repository benchmark (perfbench/run.py) stamps. Informational only:
+/// diff_bench.py prints it next to the baseline's and gates nothing on it.
+inline JsonObject HostStamp() {
+  std::string cpu_model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      size_t begin = line.find_first_not_of(" \t", colon + 1);
+      cpu_model = begin == std::string::npos ? "" : line.substr(begin);
+      break;
+    }
+  }
+  JsonObject host;
+  host.Add("nproc", static_cast<int64_t>(std::thread::hardware_concurrency()))
+      .Add("cpu_model", cpu_model)
+      .Add("compiler", QMQO_BENCH_COMPILER)
+      .Add("build_type", QMQO_BENCH_BUILD_TYPE);
+  return host;
+}
+
+/// Writes `content` to `filename` in QMQO_BENCH_OUT_DIR (default: the
+/// working directory) and prints the path written.
+inline Status WriteBenchFile(const std::string& filename,
+                             const std::string& content) {
   const char* dir = std::getenv("QMQO_BENCH_OUT_DIR");
   std::string path =
       (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : "") +
-      "BENCH_" + name + ".json";
+      filename;
   std::ofstream out(path);
-  if (!out) return "";
-  out << root.Dump() << "\n";
+  out << content;
   out.flush();  // surface buffered write errors before reporting success
-  return out ? path : "";
+  if (!out) return Status::Unavailable("failed to write " + path);
+  std::printf("wrote %s\n", path.c_str());
+  return Status::OK();
+}
+
+/// Writes `root`, followed by its `gates` and the host stamp, to
+/// BENCH_<name>.json (see WriteBenchFile).
+inline Status WriteBenchArtifact(const std::string& name, JsonObject root,
+                                 const Gates& gates) {
+  root.AddRaw("gates", gates.Dump()).AddRaw("host", HostStamp().Dump());
+  return WriteBenchFile("BENCH_" + name + ".json", root.Dump() + "\n");
 }
 
 /// The paper's four experiment classes: (plans/query, queries). Query
@@ -197,6 +279,23 @@ inline int ClampQueries(const chimera::ChimeraGraph& graph,
       embedding::MeasuredMaxQueries(graph, cls.plans_per_query);
   return capacity < cls.num_queries ? capacity : cls.num_queries;
 }
+
+// Bench targets, run by name through qmqo_bench (bench/qmqo_bench.cc).
+// A target returns an error when the bench cannot run or one of its own
+// checks does not hold; qmqo_bench reports it and exits nonzero.
+Status RunAnnealer();
+Status RunEmbedding();
+Status RunService();
+Status RunWorkloads();
+Status RunTable1();
+Status RunFig4();
+Status RunFig5();
+Status RunFig6();
+Status RunFig7();
+Status RunMapping();
+Status RunAblationChainStrength();
+Status RunAblationEmbedding();
+Status RunAblationSampler();
 
 }  // namespace bench
 }  // namespace qmqo

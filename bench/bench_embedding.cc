@@ -17,8 +17,8 @@
 // legacy compile are bit-identical to the fresh CSR compile — the cache's
 // whole contract is that downstream samples cannot tell the difference.
 // Results go to BENCH_embedding.json (cold/reweight/legacy ms, cache
-// speedup, CSR-vs-map speedup, amortized per-request cost); diff_bench.py
-// gates cache_speedup >= 10x and csr_vs_map_speedup >= 1x.
+// speedup, CSR-vs-map speedup, amortized per-request cost), whose gates
+// require cache_speedup >= 10x and csr_vs_map_speedup >= 1x.
 
 #include <algorithm>
 #include <cstdint>
@@ -37,6 +37,7 @@
 #include "mapping/logical_mapping.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -281,7 +282,7 @@ qubo::QuboProblem ReweightedVariant(const qubo::QuboProblem& base,
 
 }  // namespace
 
-int main() {
+qmqo::Status qmqo::bench::RunEmbedding() {
   const bool full = bench::FullScale();
 
   // The paper's 3-plan class on the defective D-Wave 2X: 253 queries,
@@ -295,17 +296,9 @@ int main() {
   Rng workload_rng(11);
   auto instance = harness::GeneratePaperInstance(graph, workload,
                                                  &workload_rng);
-  if (!instance.ok()) {
-    std::fprintf(stderr, "paper workload failed: %s\n",
-                 instance.status().message().c_str());
-    return 1;
-  }
+  QMQO_RETURN_IF_ERROR(instance.status());
   auto mapping = mapping::LogicalMapping::Create(instance->problem);
-  if (!mapping.ok()) {
-    std::fprintf(stderr, "logical mapping failed: %s\n",
-                 mapping.status().message().c_str());
-    return 1;
-  }
+  QMQO_RETURN_IF_ERROR(mapping.status());
   const qubo::QuboProblem& base = mapping->qubo();
   base.Finalize();
   std::printf("instance: %d plans over %d queries -> QUBO(%d vars, %d "
@@ -333,11 +326,7 @@ int main() {
   {
     auto warmup = embedding::EmbeddedQubo::Create(variants[0],
                                                   instance->embedding, graph);
-    if (!warmup.ok()) {
-      std::fprintf(stderr, "cold warm-up failed: %s\n",
-                   warmup.status().message().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(warmup.status());
     physical_qubits = warmup->num_physical_vars();
   }
   Stopwatch uncached_clock;
@@ -345,11 +334,7 @@ int main() {
     auto compiled = embedding::EmbeddedQubo::Create(
         variants[static_cast<size_t>(r % kVariants)], instance->embedding,
         graph);
-    if (!compiled.ok()) {
-      std::fprintf(stderr, "uncached compile failed: %s\n",
-                   compiled.status().message().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(compiled.status());
   }
   const double uncached_ms = uncached_clock.ElapsedMillis() / cold_repeats;
 
@@ -361,11 +346,7 @@ int main() {
     auto compiled = embedding::EmbeddedQubo::Create(
         variants[static_cast<size_t>(r % kVariants)], instance->embedding,
         graph, {}, &layout);
-    if (!compiled.ok()) {
-      std::fprintf(stderr, "cold compile failed: %s\n",
-                   compiled.status().message().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(compiled.status());
   }
   const double cold_ms = cold_clock.ElapsedMillis() / cold_repeats;
 
@@ -374,22 +355,14 @@ int main() {
   embedding::EmbeddingCache cache;
   {
     auto warmup = cache.GetOrCreate(variants[0], instance->embedding, graph);
-    if (!warmup.ok()) {
-      std::fprintf(stderr, "cache warm-up failed: %s\n",
-                   warmup.status().message().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(warmup.status());
   }
   Stopwatch reweight_clock;
   for (int r = 0; r < reweight_repeats; ++r) {
     auto compiled = cache.GetOrCreate(
         variants[static_cast<size_t>(r % kVariants)], instance->embedding,
         graph);
-    if (!compiled.ok()) {
-      std::fprintf(stderr, "cached re-weight failed: %s\n",
-                   compiled.status().message().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(compiled.status());
   }
   const double reweight_ms = reweight_clock.ElapsedMillis() / reweight_repeats;
   const embedding::EmbeddingCacheStats stats = cache.stats();
@@ -398,21 +371,13 @@ int main() {
   LegacyAdjacency adj(graph);
   {
     auto warmup = LegacyCompile(variants[0], instance->embedding, graph, adj);
-    if (!warmup.ok()) {
-      std::fprintf(stderr, "legacy warm-up failed: %s\n",
-                   warmup.status().message().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(warmup.status());
   }
   Stopwatch legacy_clock;
   for (int r = 0; r < cold_repeats; ++r) {
     auto compiled = LegacyCompile(variants[static_cast<size_t>(r % kVariants)],
                                   instance->embedding, graph, adj);
-    if (!compiled.ok()) {
-      std::fprintf(stderr, "legacy compile failed: %s\n",
-                   compiled.status().message().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(compiled.status());
   }
   const double legacy_ms = legacy_clock.ElapsedMillis() / cold_repeats;
 
@@ -428,8 +393,8 @@ int main() {
                                     &was_hit);
     auto legacy = LegacyCompile(request, instance->embedding, graph, adj);
     if (!fresh.ok() || !cached.ok() || !legacy.ok() || !was_hit) {
-      std::fprintf(stderr, "parity compile failed on variant %d\n", v);
-      return 1;
+      return Status::Internal(
+          StrFormat("parity compile failed on variant %d", v));
     }
     if (!IdenticalProblems(fresh->physical(), cached->physical())) {
       reweight_identical = false;
@@ -461,37 +426,20 @@ int main() {
               reweight_identical ? "identical" : "MISMATCH",
               embedding_identical ? "identical" : "MISMATCH");
 
-  const double uncached_per_sec =
-      uncached_ms > 0.0 ? 1000.0 / uncached_ms : 0.0;
-  const double cold_per_sec = cold_ms > 0.0 ? 1000.0 / cold_ms : 0.0;
-  const double reweight_per_sec =
-      reweight_ms > 0.0 ? 1000.0 / reweight_ms : 0.0;
-  const double legacy_per_sec = legacy_ms > 0.0 ? 1000.0 / legacy_ms : 0.0;
   bench::JsonArray rows;
-  bench::JsonObject uncached_row;
-  uncached_row.Add("engine", "embed_uncached")
-      .Add("threads", 1)
-      .Add("wall_ms", uncached_ms)
-      .Add("embeds_per_sec", uncached_per_sec);
-  rows.Add(uncached_row);
-  bench::JsonObject cold_row;
-  cold_row.Add("engine", "embed_cold_miss")
-      .Add("threads", 1)
-      .Add("wall_ms", cold_ms)
-      .Add("embeds_per_sec", cold_per_sec);
-  rows.Add(cold_row);
-  bench::JsonObject reweight_row;
-  reweight_row.Add("engine", "embed_reweight")
-      .Add("threads", 1)
-      .Add("wall_ms", reweight_ms)
-      .Add("embeds_per_sec", reweight_per_sec);
-  rows.Add(reweight_row);
-  bench::JsonObject legacy_row;
-  legacy_row.Add("engine", "embed_legacy_cold")
-      .Add("threads", 1)
-      .Add("wall_ms", legacy_ms)
-      .Add("embeds_per_sec", legacy_per_sec);
-  rows.Add(legacy_row);
+  const std::pair<const char*, double> timed_paths[] = {
+      {"embed_uncached", uncached_ms},
+      {"embed_cold_miss", cold_ms},
+      {"embed_reweight", reweight_ms},
+      {"embed_legacy_cold", legacy_ms}};
+  for (const auto& [engine, wall_ms] : timed_paths) {
+    bench::JsonObject row;
+    row.Add("engine", engine)
+        .Add("threads", 1)
+        .Add("wall_ms", wall_ms)
+        .Add("embeds_per_sec", wall_ms > 0.0 ? 1000.0 / wall_ms : 0.0);
+    rows.Add(row);
+  }
 
   bench::JsonObject root;
   root.Add("bench", "embedding")
@@ -513,17 +461,14 @@ int main() {
       .Add("cache_hits", static_cast<int64_t>(stats.hits))
       .Add("cache_misses", static_cast<int64_t>(stats.misses))
       .AddRaw("runs", rows.Dump());
-  std::string path = bench::WriteBenchArtifact("embedding", root);
-  if (path.empty()) {
-    std::fprintf(stderr, "failed to write BENCH_embedding.json\n");
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
+  bench::Gates gates;
+  gates.metric = "embeds_per_sec";
+  gates.floors = {{"cache_speedup", 10.0}, {"csr_vs_map_speedup", 1.0}};
+  gates.flags = {"reweight_identical", "embedding_identical"};
+  QMQO_RETURN_IF_ERROR(bench::WriteBenchArtifact("embedding", root, gates));
   if (!reweight_identical || !embedding_identical) {
-    std::fprintf(stderr,
-                 "FAIL: re-weighted or legacy compile diverged from the "
-                 "fresh CSR compile\n");
-    return 1;
+    return Status::Internal(
+        "re-weighted or legacy compile diverged from the fresh CSR compile");
   }
-  return 0;
+  return Status::OK();
 }

@@ -15,10 +15,7 @@
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
-int main() {
-  using namespace qmqo;
-  using namespace qmqo::bench;
-
+qmqo::Status qmqo::bench::RunFig6() {
   Rng chip_rng(1);
   chimera::ChimeraGraph graph =
       chimera::ChimeraGraph::DWave2XWithDefects(&chip_rng);
@@ -38,11 +35,7 @@ int main() {
     config.run_lin_qub = FullScale();
 
     auto result = harness::RunExperimentClass(config, graph);
-    if (!result.ok()) {
-      std::printf("class %dx%d failed: %s\n", config.workload.num_queries,
-                  cls.plans_per_query, result.status().ToString().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(result.status());
     SummaryStats speedups;
     int matched = 0;
     for (const harness::InstanceRun& run : result->instances) {
@@ -69,5 +62,5 @@ int main() {
       "bound, so reported speedups are conservative; the paper's Fig. 6\n"
       "shows the same downward trend from ~10^3-10^4 at 1.0 qubit/var to\n"
       "~10^2 at 1.6 qubits/var)\n");
-  return 0;
+  return Status::OK();
 }

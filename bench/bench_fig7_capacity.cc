@@ -27,9 +27,7 @@ struct ChipDims {
 
 }  // namespace
 
-int main() {
-  using namespace qmqo;
-
+qmqo::Status qmqo::bench::RunFig7() {
   std::printf("=== Figure 7: capacity frontier (intact hardware) ===\n\n");
   const ChipDims chips[] = {
       {12, 12, "1152 qubits"}, {12, 24, "2304 qubits"}, {24, 24, "4608 qubits"}};
@@ -78,5 +76,5 @@ int main() {
                     StrFormat("%d", std::min(measured[i], cls.num_queries))});
   }
   std::printf("%s\n", classes.ToString().c_str());
-  return 0;
+  return Status::OK();
 }

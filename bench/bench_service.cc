@@ -10,7 +10,8 @@
 // settles the same requests with the same outcomes (status, backend,
 // cost, solution, modeled timings) as the serial run — the service's
 // round scheduler must not let worker count leak into results. Results go
-// to BENCH_service.json for diff_bench.py (--metric requests_per_sec).
+// to BENCH_service.json, whose gates bench/diff_bench.py applies (metric
+// requests_per_sec).
 
 #include <algorithm>
 #include <cstdint>
@@ -18,8 +19,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include <fstream>
 
 #include "bench_common.h"
 #include "chimera/topology.h"
@@ -133,7 +132,7 @@ LoadResult RunLoad(
 
 }  // namespace
 
-int main() {
+qmqo::Status qmqo::bench::RunService() {
   const int num_requests = bench::FullScale() ? 96 : 24;
   chimera::ChimeraGraph graph(4, 4, 4);
 
@@ -144,18 +143,10 @@ int main() {
     workload.plans_per_query = 2;
     workload.num_queries = 10;
     auto instance = harness::GeneratePaperInstance(graph, workload, &rng);
-    if (!instance.ok()) {
-      std::fprintf(stderr, "workload generation failed: %s\n",
-                   instance.status().ToString().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(instance.status());
     auto target = harness::MqoWorkload::Create(
         std::move(instance->problem), std::move(instance->embedding), &graph);
-    if (!target.ok()) {
-      std::fprintf(stderr, "formulation failed: %s\n",
-                   target.status().ToString().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(target.status());
     targets.push_back(*std::move(target));
   }
 
@@ -250,49 +241,26 @@ int main() {
               static_cast<long long>(serial.stats.rejected_queue_full),
               shed_rate);
 
-  std::string path = bench::WriteBenchArtifact("service", root);
-  if (path.empty()) {
-    std::fprintf(stderr, "failed to write BENCH_service.json\n");
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
+  bench::Gates gates;
+  gates.metric = "requests_per_sec";
+  gates.flags = {"all_identical_to_serial"};
+  gates.row_flags = {"identical_to_serial"};
+  QMQO_RETURN_IF_ERROR(bench::WriteBenchArtifact("service", root, gates));
 
   // The serial run's full metric snapshot in both exposition formats,
   // next to the bench artifact. CI checks both stay machine-readable:
   // bench/check_prom.py for the text exposition, a json.load for the
   // JSON one (labeled metric names carry quotes that must be escaped).
-  const std::pair<const char*, const std::string*> expositions[] = {
-      {"BENCH_service.prom", &serial_prom},
-      {"BENCH_service_metrics.json", &serial_metrics_json},
-  };
-  for (const auto& [filename, content] : expositions) {
-    const char* dir = std::getenv("QMQO_BENCH_OUT_DIR");
-    std::string out_path =
-        (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : "") +
-        filename;
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
-      return 1;
-    }
-    out << *content;
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", out_path.c_str());
-  }
+  QMQO_RETURN_IF_ERROR(
+      bench::WriteBenchFile("BENCH_service.prom", serial_prom));
+  QMQO_RETURN_IF_ERROR(bench::WriteBenchFile("BENCH_service_metrics.json",
+                                             serial_metrics_json));
 
   if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: parallel service runs diverged from serial\n");
-    return 1;
+    return Status::Internal("parallel service runs diverged from serial");
   }
   if (serial.stats.rejected_queue_full == 0 || serial.stats.shed_degraded == 0) {
-    std::fprintf(stderr,
-                 "FAIL: overload burst produced no rejects/shedding\n");
-    return 1;
+    return Status::Internal("overload burst produced no rejects/shedding");
   }
-  return 0;
+  return Status::OK();
 }

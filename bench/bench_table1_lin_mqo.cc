@@ -30,10 +30,7 @@
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
-int main() {
-  using namespace qmqo;
-  using namespace qmqo::bench;
-
+qmqo::Status qmqo::bench::RunTable1() {
   Rng chip_rng(1);
   chimera::ChimeraGraph graph =
       chimera::ChimeraGraph::DWave2XWithDefects(&chip_rng);
@@ -95,13 +92,7 @@ int main() {
     SummaryStats best_times;
     int proven = 0;
     for (int instance_id = 0; instance_id < instances; ++instance_id) {
-      if (!statuses[static_cast<size_t>(instance_id)].ok()) {
-        std::printf("instance failed: %s\n",
-                    statuses[static_cast<size_t>(instance_id)]
-                        .ToString()
-                        .c_str());
-        return 1;
-      }
+      QMQO_RETURN_IF_ERROR(statuses[static_cast<size_t>(instance_id)]);
       best_times.Add(times[static_cast<size_t>(instance_id)]);
       proven += proven_flags[static_cast<size_t>(instance_id)];
     }
@@ -174,5 +165,5 @@ int main() {
       "the same explosion at smaller absolute sizes because the paper's\n"
       "commercial LP-based solver prunes far better than our from-scratch\n"
       "combinatorial branch-and-bound)\n");
-  return 0;
+  return Status::OK();
 }

@@ -9,9 +9,9 @@
 // generator-planted optimum with a feasible decoded solution and every
 // parallel run's answers (assignment bits, energy, decoded labels) are
 // byte-identical to the serial run. The ladder is {SA, greedy} with one
-// attempt per rung, so the fault-free hot path gates in diff_bench.py
-// (solver_retries / solver_fallbacks == 0) apply. Results go to
-// BENCH_workloads.json for diff_bench.py (--metric solves_per_sec).
+// attempt per rung, so the fault-free hot path gates (solver_retries /
+// solver_fallbacks == 0) apply. Results go to BENCH_workloads.json, whose
+// gates bench/diff_bench.py applies (metric solves_per_sec).
 
 #include <cstdint>
 #include <cstdio>
@@ -64,7 +64,7 @@ KindResult RunKind(const workloads::Workload& workload, int threads,
   policy.seed = kSeed;
   policy.max_attempts_per_backend = 1;
   // SA answers on the first rung: the default bench run must stay on the
-  // fault-free hot path (zero retries, zero fallbacks) for diff_bench.py.
+  // fault-free hot path (zero retries, zero fallbacks) the artifact gates.
   policy.ladder = {harness::SolveBackend::kSa, harness::SolveBackend::kGreedy};
   policy.sa_reads = 16;
   policy.sa_sweeps = 128;
@@ -109,7 +109,7 @@ KindResult RunKind(const workloads::Workload& workload, int threads,
 
 }  // namespace
 
-int main() {
+qmqo::Status qmqo::bench::RunWorkloads() {
   const int repetitions = bench::FullScale() ? 64 : 16;
 
   // One planted instance per kind, fixed seeds: the planted optimum is
@@ -120,30 +120,18 @@ int main() {
   {
     auto clique = workloads::MaxCliqueWorkload::MakePlanted(
         /*num_nodes=*/24, /*clique_size=*/5, /*edge_prob=*/0.3, kSeed + 1);
-    if (!clique.ok()) {
-      std::fprintf(stderr, "clique generation failed: %s\n",
-                   clique.status().ToString().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(clique.status());
     kinds.push_back(*clique);
     auto cut_instance = workloads::PlantedCutGraph(
         /*num_nodes=*/24, /*edge_prob=*/0.4, /*max_weight=*/3.0, kSeed + 2);
-    if (!cut_instance.ok()) {
-      std::fprintf(stderr, "cut generation failed: %s\n",
-                   cut_instance.status().ToString().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(cut_instance.status());
     auto cut = workloads::MaxCutWorkload::Create(
         cut_instance->graph, cut_instance->graph.total_weight());
-    if (!cut.ok()) return 1;
+    QMQO_RETURN_IF_ERROR(cut.status());
     kinds.push_back(*cut);
     auto coloring = workloads::ColoringWorkload::MakePlanted(
         /*num_nodes=*/18, /*num_colors=*/3, /*edge_prob=*/0.4, kSeed + 3);
-    if (!coloring.ok()) {
-      std::fprintf(stderr, "coloring generation failed: %s\n",
-                   coloring.status().ToString().c_str());
-      return 1;
-    }
+    QMQO_RETURN_IF_ERROR(coloring.status());
     kinds.push_back(*coloring);
   }
 
@@ -202,8 +190,7 @@ int main() {
   root.AddRaw("runs", runs.Dump());
 
   // Fault-free hot path: the default run arms no fault injector and SA
-  // answers on its first attempt, so these must be exactly zero (gated by
-  // diff_bench.py).
+  // answers on its first attempt, so these must be exactly zero (gated).
   root.Add("injected_faults", total_faults);
   root.Add("solver_retries", static_cast<int64_t>(total_retries));
   root.Add("solver_fallbacks", static_cast<int64_t>(total_fallbacks));
@@ -213,22 +200,19 @@ int main() {
   root.Add("stage_solve_ms", stage_solve_ms);
   root.Add("stage_decode_ms", stage_decode_ms);
 
-  std::string path = bench::WriteBenchArtifact("workloads", root);
-  if (path.empty()) {
-    std::fprintf(stderr, "failed to write BENCH_workloads.json\n");
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
+  bench::Gates gates;
+  gates.metric = "solves_per_sec";
+  gates.flags = {"all_recovered_planted_optima", "all_identical_to_serial"};
+  gates.row_flags = {"identical_to_serial"};
+  gates.zero = {"injected_faults", "solver_retries", "solver_fallbacks"};
+  QMQO_RETURN_IF_ERROR(bench::WriteBenchArtifact("workloads", root, gates));
 
   if (!all_identical) {
-    std::fprintf(stderr, "FAIL: parallel workload solves diverged from "
-                         "serial\n");
-    return 1;
+    return Status::Internal("parallel workload solves diverged from serial");
   }
   if (!all_recovered) {
-    std::fprintf(stderr, "FAIL: a workload run missed its planted "
-                         "optimum or decoded infeasibly\n");
-    return 1;
+    return Status::Internal(
+        "a workload run missed its planted optimum or decoded infeasibly");
   }
-  return 0;
+  return Status::OK();
 }

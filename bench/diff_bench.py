@@ -1,53 +1,45 @@
 #!/usr/bin/env python3
-"""Compare a fresh BENCH_*.json artifact against a committed baseline.
+"""Compare a fresh BENCH_*.json artifact against its committed baseline.
 
 Usage:
-    diff_bench.py FRESH_JSON BASELINE_JSON [--max-regression PCT]
-                  [--metric NAME] [--require-baseline]
+    diff_bench.py FRESH_JSON BASELINE_JSON
 
-A missing BASELINE_JSON is not an error by default: a newly added bench
-has no committed baseline on its first run, and the gate skips with a
-warning (exit 0) telling the author to commit one. Pass
---require-baseline to make a missing baseline fail instead (for benches
-whose baselines are known to be committed).
+Every gated bench target declares its own pass/fail contract in its
+artifact's `gates` block (bench::Gates in bench/bench_common.h):
+
+    metric              per-row throughput field compared to the baseline
+    max_regression_pct  tolerated drop of that metric, in percent
+    floors              {field: minimum} for machine-independent ratios
+    flags               top-level fields that must be true
+    row_flags           fields that must be true in every row of `runs`
+    zero                counters that must be exactly 0
+
+The fresh artifact's gates are applied, after checking they are at least
+as strict as the baseline's: the baseline's gates are the floor a bench
+may not silently drop below.
 
 Exits nonzero when
+  * either artifact is missing or unreadable, or the fresh one declares
+    no gates or no throughput metric,
   * a top-level field present in one artifact is missing from the other
     (field parity, both directions: a baseline field missing from the
     fresh artifact means the bench silently stopped emitting a
     measurement; a fresh field missing from the baseline means the
     committed baseline needs a refresh to pin the new coverage),
-  * the fresh artifact reports nonzero injected_faults / solver_retries /
-    solver_fallbacks (the default bench run must stay on the fault-free
-    hot path),
-  * any (engine, threads) row present in the baseline is missing from the
-    fresh artifact (coverage regression),
-  * any row's throughput metric (default: sweep_spins_per_sec) regressed
-    by more than --max-regression percent (default: 50) relative to the
-    baseline,
-  * the fresh artifact reports a determinism failure
-    (all_identical_to_serial / identical_to_serial false),
-  * the fresh artifact reports worker threads spawned during timed runs
-    (the pool-reuse gate), or
-  * the fresh artifact's packed_memory_reduction (bytes per retained
-    sample of the byte-vector representation over the packed arena, on the
-    2048-spin instance) falls below --min-memory-reduction (default: 4),
-  * the fresh artifact's cache_speedup (cold embed incl. layout capture
-    over a cached re-weight, same process) falls below
-    --min-cache-speedup (default: 10),
-  * the fresh artifact's csr_vs_map_speedup (the seed's map-based cold
-    embed over the CSR cold embed) falls below --min-csr-map-speedup
-    (default: 1), or
-  * the fresh artifact reports an embedding parity MISMATCH
-    (reweight_identical / embedding_identical false).
+  * a baseline gate is missing from the fresh artifact's gates, or is
+    declared there with a looser bound,
+  * a floor, flag or zero-counter gate does not hold in the fresh
+    artifact, or
+  * a baseline (engine, threads) row is missing from the fresh artifact,
+    either side of it lacks a positive numeric metric, or the metric
+    regressed by more than max_regression_pct.
 
-The default threshold is deliberately loose: bench machines differ (CI
-runners vs laptops), so this gate is meant to catch order-of-magnitude
-performance cliffs and correctness-flag regressions, not single-digit
-noise. Track fine-grained trends by archiving the uploaded artifacts.
+`stage_*` / `trace_*` fields (observability breakdowns) and `host` (the
+build host's nproc, CPU model, compiler and build type) are informational:
+exempt from field parity and printed, never gated. A baseline without a
+host stamp prints as "unstamped".
 """
 
-import argparse
 import json
 import os
 import sys
@@ -61,6 +53,14 @@ def load(path):
         sys.exit(f"diff_bench: cannot read {path}: {error}")
 
 
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def informational(key):
+    return key == "host" or key.startswith(("stage_", "trace_"))
+
+
 def rows_by_key(artifact):
     rows = artifact.get("runs", [])
     if not isinstance(rows, list):
@@ -68,192 +68,163 @@ def rows_by_key(artifact):
     return {(row.get("engine"), row.get("threads")): row for row in rows}
 
 
-def main():
-    parser = argparse.ArgumentParser(
-        description="Compare a fresh bench artifact against a baseline.")
-    parser.add_argument("fresh", help="freshly produced BENCH_*.json")
-    parser.add_argument("baseline", help="committed baseline BENCH_*.json")
-    parser.add_argument("--max-regression", type=float, default=50.0,
-                        metavar="PCT",
-                        help="maximum tolerated throughput regression in "
-                             "percent (default: %(default)s)")
-    parser.add_argument("--metric", default="sweep_spins_per_sec",
-                        help="per-row throughput metric to compare "
-                             "(default: %(default)s)")
-    parser.add_argument("--min-memory-reduction", type=float, default=4.0,
-                        metavar="FACTOR",
-                        help="minimum tolerated packed_memory_reduction "
-                             "factor when the fresh artifact reports one "
-                             "(default: %(default)s)")
-    parser.add_argument("--min-cache-speedup", type=float, default=10.0,
-                        metavar="FACTOR",
-                        help="minimum tolerated cache_speedup factor when "
-                             "the fresh artifact reports one "
-                             "(default: %(default)s)")
-    parser.add_argument("--min-csr-map-speedup", type=float, default=1.0,
-                        metavar="FACTOR",
-                        help="minimum tolerated csr_vs_map_speedup factor "
-                             "when the fresh artifact reports one "
-                             "(default: %(default)s)")
-    parser.add_argument("--require-baseline", action="store_true",
-                        help="fail when the baseline file is missing instead "
-                             "of skipping the comparison with a warning")
-    args = parser.parse_args()
+def host_stamp(artifact):
+    host = artifact.get("host")
+    if not isinstance(host, dict):
+        return "unstamped"
+    return (f"nproc={host.get('nproc')} cpu={host.get('cpu_model')!r} "
+            f"compiler={host.get('compiler')!r} "
+            f"build_type={host.get('build_type')}")
 
-    fresh = load(args.fresh)
-    # A bench's very first run has no committed baseline; that is a
-    # skip-with-warning, not a crash — unless the caller asserts the
-    # baseline must exist.
-    if not os.path.exists(args.baseline):
-        if args.require_baseline:
-            print(f"FAIL: baseline {args.baseline} is missing and "
-                  "--require-baseline was given", file=sys.stderr)
-            return 1
-        print(f"WARNING: baseline {args.baseline} is missing; skipping the "
-              "comparison. Commit the fresh artifact as the baseline to "
-              "enable gating (or pass --require-baseline to make this an "
-              "error).", file=sys.stderr)
-        return 0
-    baseline = load(args.baseline)
-    fresh_rows = rows_by_key(fresh)
-    baseline_rows = rows_by_key(baseline)
+
+def gate_drift(fresh_gates, baseline_gates):
+    """Failures for baseline gates the fresh artifact dropped or loosened."""
+    failures = []
+    metric = baseline_gates.get("metric", fresh_gates["metric"])
+    if fresh_gates["metric"] != metric:
+        failures.append(f"throughput gate on '{metric}' is missing from the "
+                        "fresh artifact")
+    bound = baseline_gates.get("max_regression_pct", float("inf"))
+    if fresh_gates["max_regression_pct"] > bound:
+        failures.append(f"max_regression_pct loosened from {bound} to "
+                        f"{fresh_gates['max_regression_pct']}")
+    fresh_floors = fresh_gates.get("floors", {})
+    for field, floor in baseline_gates.get("floors", {}).items():
+        fresh_floor = fresh_floors.get(field)
+        if not (is_number(fresh_floor) and fresh_floor >= floor):
+            failures.append(f"floor gate on '{field}' (>= {floor}) is "
+                            f"missing or loosened (fresh: {fresh_floor})")
+    for kind in ("flags", "row_flags", "zero"):
+        for field in baseline_gates.get(kind, []):
+            if field not in fresh_gates.get(kind, []):
+                failures.append(f"{kind} gate on '{field}' is missing from "
+                                "the fresh artifact")
+    return failures
+
+
+def main(argv):
+    if len(argv) != 3:
+        print("usage: diff_bench.py FRESH_JSON BASELINE_JSON",
+              file=sys.stderr)
+        return 2
+    fresh_path, baseline_path = argv[1], argv[2]
+    fresh = load(fresh_path)
+    if not os.path.exists(baseline_path):
+        print(f"FAIL: baseline {baseline_path} is missing; commit the fresh "
+              "artifact as the baseline to gate this bench", file=sys.stderr)
+        return 1
+    baseline = load(baseline_path)
+    gates = fresh.get("gates")
+    if not (isinstance(gates, dict) and gates.get("metric") and
+            is_number(gates.get("max_regression_pct"))):
+        print(f"FAIL: {fresh_path} declares no throughput gate (gates with "
+              "a metric and a max_regression_pct)", file=sys.stderr)
+        return 1
+    baseline_gates = baseline.get("gates", {})
+
+    print(f"host (fresh):    {host_stamp(fresh)}")
+    print(f"host (baseline): {host_stamp(baseline)}")
+    stage_fields = sorted(key for key in fresh
+                          if informational(key) and key != "host")
+    if stage_fields:
+        print("observability breakdown (informational, not gated):")
+        for key in stage_fields:
+            print(f"  {key} = {fresh[key]}")
 
     failures = []
 
     # Top-level field parity, both directions. Machine-dependent *values*
     # are fine (throughput gates have their own tolerance below); what may
     # never drift silently is which measurements exist at all.
-    # Observability breakdowns (stage_* timing totals from solve traces,
-    # trace_* counts) are informational: they may appear or change without
-    # a baseline refresh, so they are exempt from parity and printed below.
-    def informational(key):
-        return key.startswith("stage_") or key.startswith("trace_")
-
     fresh_keys = {key for key in fresh if not informational(key)}
     baseline_keys = {key for key in baseline if not informational(key)}
     for key in sorted(baseline_keys - fresh_keys):
         failures.append(
             f"top-level field '{key}' exists in the baseline "
-            f"({args.baseline}) but is missing from the fresh artifact "
-            f"({args.fresh}): the bench stopped emitting it, or the wrong "
+            f"({baseline_path}) but is missing from the fresh artifact "
+            f"({fresh_path}): the bench stopped emitting it, or the wrong "
             "artifact was diffed")
     for key in sorted(fresh_keys - baseline_keys):
         failures.append(
             f"top-level field '{key}' is emitted by the bench but absent "
-            f"from the baseline ({args.baseline}): refresh the committed "
+            f"from the baseline ({baseline_path}): refresh the committed "
             "baseline to pin the new measurement")
 
-    # Fault-free hot path: the default bench run arms no fault injector,
-    # so its resilience counters must be exactly zero. Nonzero means fault
-    # machinery leaked into the no-fault path (or a retry/fallback fired
-    # on a healthy run) — a correctness bug, not a perf regression.
-    for field in ("injected_faults", "solver_retries", "solver_fallbacks"):
+    failures += gate_drift(gates, baseline_gates)
+
+    # Floors are machine-independent ratios: both numbers come from the
+    # same process on the same instance.
+    for field, floor in gates.get("floors", {}).items():
         value = fresh.get(field)
-        if isinstance(value, (int, float)) and value != 0:
-            failures.append(
-                f"fresh artifact reports {field}={value}; the default "
-                "bench run must stay on the fault-free hot path")
-
-    stage_fields = sorted(key for key in fresh if informational(key))
-    if stage_fields:
-        print("observability breakdown (informational, not gated):")
-        for key in stage_fields:
-            print(f"  {key} = {fresh[key]}")
-
-    if fresh.get("all_identical_to_serial") is False:
-        failures.append("fresh artifact reports a parallel-vs-serial "
-                        "determinism MISMATCH")
-    spawned = fresh.get("workers_spawned_during_runs")
-    if isinstance(spawned, (int, float)) and spawned != 0:
-        failures.append(f"fresh artifact reports {spawned} worker threads "
-                        "spawned during timed runs (pool not reused)")
-
-    # Packed-storage memory gate: the bench measures bytes per retained
-    # sample for the packed arena against the byte-vector representation
-    # it replaced; the reduction must hold (machine-independent — both
-    # numbers come from the same process on the same instance). A baseline
-    # that carries the field pins coverage: the fresh artifact may not
-    # silently drop the measurement.
-    reduction = fresh.get("packed_memory_reduction")
-    if isinstance(reduction, (int, float)):
-        if reduction < args.min_memory_reduction:
-            failures.append(
-                f"packed_memory_reduction {reduction:.2f}x fell below the "
-                f"required {args.min_memory_reduction:.1f}x")
+        if not is_number(value) or value < floor:
+            failures.append(f"fresh artifact reports {field}={value}; the "
+                            f"gate requires >= {floor}")
         else:
-            print(f"memory: packed_memory_reduction {reduction:.2f}x "
-                  f"(limit {args.min_memory_reduction:.1f}x)")
-    elif "packed_memory_reduction" in baseline:
-        failures.append("fresh artifact has no numeric "
-                        "'packed_memory_reduction' but the baseline does")
-
-    # Embedding-cache gates. Both speedups compare two timings from the
-    # same process on the same instance, so they are machine-independent
-    # ratios like the memory gate above; the parity flags assert that the
-    # cached re-weight and the legacy map-based compile produced
-    # bit-identical physical problems.
-    for field, minimum, label in (
-            ("cache_speedup", args.min_cache_speedup,
-             "cached re-weight vs cold embed"),
-            ("csr_vs_map_speedup", args.min_csr_map_speedup,
-             "CSR cold embed vs legacy map-based embed")):
+            print(f"floor: {field} {value:.2f} (limit {floor})")
+    for field in gates.get("flags", []):
+        if fresh.get(field) is not True:
+            failures.append(f"fresh artifact reports {field}="
+                            f"{fresh.get(field)}; the gate requires true")
+    # The default bench run arms no fault injector and reuses one pool, so
+    # these counters must be exactly zero: nonzero means fault machinery
+    # leaked into the no-fault path, or a run spawned its own threads.
+    for field in gates.get("zero", []):
         value = fresh.get(field)
-        if isinstance(value, (int, float)):
-            if value < minimum:
-                failures.append(
-                    f"{field} {value:.2f}x ({label}) fell below the "
-                    f"required {minimum:.1f}x")
-            else:
-                print(f"embedding: {field} {value:.2f}x "
-                      f"(limit {minimum:.1f}x)")
-        elif field in baseline:
-            failures.append(f"fresh artifact has no numeric '{field}' but "
-                            "the baseline does")
-    for flag in ("reweight_identical", "embedding_identical"):
-        if fresh.get(flag) is False:
-            failures.append(f"fresh artifact reports {flag}=false: the "
-                            "embedding pipeline produced a non-identical "
-                            "physical problem")
+        if not is_number(value) or value != 0:
+            failures.append(f"fresh artifact reports {field}={value}; the "
+                            "gate requires 0 (the fault-free, pool-reusing "
+                            "hot path)")
 
-    print(f"{'engine':<12}{'threads':>8}{'baseline':>14}{'fresh':>14}"
+    fresh_rows = rows_by_key(fresh)
+    baseline_rows = rows_by_key(baseline)
+    for key, row in fresh_rows.items():
+        for flag in gates.get("row_flags", []):
+            if row.get(flag) is not True:
+                failures.append(f"row ({key[0]}, threads={key[1]}) reports "
+                                f"{flag}={row.get(flag)}; the gate requires "
+                                "true")
+
+    metric = gates["metric"]
+    bound = gates["max_regression_pct"]
+    if not baseline_rows:
+        failures.append(f"baseline ({baseline_path}) has no rows to gate "
+                        f"'{metric}' against")
+    print(f"{'engine':<20}{'threads':>8}{'baseline':>14}{'fresh':>14}"
           f"{'delta':>9}")
     for key in sorted(baseline_rows, key=lambda k: (str(k[0]), str(k[1]))):
         engine, threads = key
-        base_row = baseline_rows[key]
+        base_value = baseline_rows[key].get(metric)
         fresh_row = fresh_rows.get(key)
         if fresh_row is None:
             failures.append(f"row ({engine}, threads={threads}) missing "
                             "from fresh artifact")
             continue
-        if fresh_row.get("identical_to_serial") is False:
-            failures.append(f"row ({engine}, threads={threads}) is not "
-                            "identical to the serial run")
-        base_value = base_row.get(args.metric)
-        fresh_value = fresh_row.get(args.metric)
-        if not isinstance(base_value, (int, float)) or base_value <= 0:
+        if not is_number(base_value) or base_value <= 0:
+            failures.append(f"baseline row ({engine}, threads={threads}) has "
+                            f"no positive numeric '{metric}' to gate against")
             continue
-        if not isinstance(fresh_value, (int, float)):
+        fresh_value = fresh_row.get(metric)
+        if not is_number(fresh_value):
             failures.append(f"row ({engine}, threads={threads}) has no "
-                            f"numeric '{args.metric}'")
+                            f"numeric '{metric}'")
             continue
         delta_pct = 100.0 * (fresh_value - base_value) / base_value
-        print(f"{engine:<12}{threads:>8}{base_value:>14.3e}"
+        print(f"{engine:<20}{threads:>8}{base_value:>14.3e}"
               f"{fresh_value:>14.3e}{delta_pct:>+8.1f}%")
-        if -delta_pct > args.max_regression:
+        if -delta_pct > bound:
             failures.append(
-                f"row ({engine}, threads={threads}): {args.metric} "
-                f"regressed {-delta_pct:.1f}% "
-                f"(limit {args.max_regression:.1f}%)")
+                f"row ({engine}, threads={threads}): {metric} "
+                f"regressed {-delta_pct:.1f}% (limit {bound:.1f}%)")
 
     if failures:
         print()
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print(f"\nOK: no regression beyond {args.max_regression:.1f}% and all "
-          "determinism flags clean")
+    print(f"\nOK: {metric} within {bound:.1f}% of the baseline and every "
+          "declared gate holds")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))
