@@ -5,7 +5,7 @@
 //
 // For each engine the serial path (1 thread) is compared against parallel
 // read fan-out; the benchmark *fails* (exit 1) unless the parallel sample
-// sets are bit-identical to serial. SA and the device anneal four reads
+// sets are bit-identical to serial. SA, SQA and the device anneal four reads
 // at a time when the host has AVX2; the artifact's `scalar_lanes` field
 // records whether it did, so a baseline taken without AVX2 is
 // recognizable. Results go to BENCH_annealer.json (sweeps*spins/sec, wall
@@ -266,9 +266,12 @@ qmqo::Status qmqo::bench::RunAnnealer() {
       bytes_per_sample, retained, unpacked_bytes_per_sample,
       packed_memory_reduction);
 
-  // --- SQA: P coupled replicas, so a "sweep" touches P * n spins. ---
+  // --- SQA: P coupled replicas, so a "sweep" touches P * n spins. 16
+  // reads put 1, 2 and 4 threads on the lane kernel and 8 threads (chunks
+  // of two) on the scalar step, so `identical_to_serial` compares the
+  // two. ---
   anneal::SqaOptions sqa;
-  sqa.num_reads = full ? 16 : 4;
+  sqa.num_reads = 16;
   sqa.num_slices = 8;
   sqa.sweeps = 32;
   sqa.seed = 7;

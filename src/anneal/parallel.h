@@ -46,7 +46,7 @@ struct ReadOptions {
   /// Worker threads for the read loop: 1 = serial (default), 0 = hardware
   /// concurrency. Results are bit-identical for every thread count.
   /// Serial wall time is comparable only across hosts that agree on AVX2,
-  /// with which the SA kernels anneal four reads per pass (see
+  /// with which the SA and SQA kernels anneal four reads per pass (see
   /// anneal/sweep_kernel.h).
   int num_threads = 1;
   /// Worker pool to fan reads across when `num_threads != 1`; null = the

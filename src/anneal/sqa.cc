@@ -20,13 +20,15 @@ namespace {
 /// when accepted — instead of O(degree) recomputation per *proposal*.
 class SqaState {
  public:
-  SqaState(const qubo::IsingProblem& ising, int num_slices, Rng* rng)
+  /// `spins` holds the P slices one after the other; the state anneals it
+  /// in place.
+  SqaState(const qubo::IsingProblem& ising, int num_slices,
+           std::vector<int8_t>* spins)
       : ising_(ising),
         n_(ising.num_spins()),
         p_(num_slices),
-        spins_(static_cast<size_t>(num_slices) * static_cast<size_t>(n_)),
+        spins_(*spins),
         fields_(spins_.size()) {
-    RandomSpins(rng, &spins_);
     const qubo::CsrGraph& csr = ising_.csr();
     const double* h = ising_.fields().data();
     for (int k = 0; k < p_; ++k) {
@@ -82,7 +84,7 @@ class SqaState {
   const qubo::IsingProblem& ising_;
   int n_;
   int p_;
-  std::vector<int8_t> spins_;
+  std::vector<int8_t>& spins_;
   std::vector<double> fields_;
 };
 
@@ -139,35 +141,49 @@ void AnnealSqaReads(const qubo::IsingProblem& ising, const SqaAnneal& anneal,
   const int p = anneal.num_slices;
   assert(p >= 2);
   const double beta_slice = anneal.beta / static_cast<double>(p);
+  // Inter-slice ferromagnetic coupling of each step; positive, diverging
+  // as gamma -> 0. The energy term is −j_perp * s_{k,i} * s_{k+1,i}.
+  std::vector<double> j_perp;
+  for (int step = 0; step < anneal.sweeps; ++step) {
+    const double gamma =
+        std::max(anneal.gamma.At(step, anneal.sweeps), 1e-9);
+    j_perp.push_back(-0.5 / beta_slice *
+                     std::log(std::tanh(beta_slice * gamma)));
+  }
+  const bool lanes = ScalarLanesSupported() && n > 0 && !j_perp.empty();
   std::vector<int8_t> slice(static_cast<size_t>(n));
   std::vector<int8_t> best(static_cast<size_t>(n));
-  for (int read = begin; read < end; ++read) {
-    if (skip && skip(read)) continue;
-    Rng read_rng = base.Fork(static_cast<uint64_t>(read));
-    SqaState state(ising, p, &read_rng);
-    for (int step = 0; step < anneal.sweeps; ++step) {
-      double gamma = anneal.gamma.At(step, anneal.sweeps);
-      gamma = std::max(gamma, 1e-9);
-      // Inter-slice ferromagnetic coupling; positive, diverging as
-      // gamma -> 0. The energy term is −j_perp * s_{k,i} * s_{k+1,i}.
-      double j_perp =
-          -0.5 / beta_slice * std::log(std::tanh(beta_slice * gamma));
-      ScalarStep(&state, n, p, beta_slice, j_perp, &read_rng);
-    }
-
-    // Read out the best slice. Energies are recomputed exactly, so
-    // cached-field drift never picks the slice.
-    double best_energy = std::numeric_limits<double>::infinity();
-    for (int k = 0; k < p; ++k) {
-      slice.assign(state.slice_spins(k), state.slice_spins(k) + n);
-      const double energy = ising.Energy(slice);
-      if (energy < best_energy) {
-        best_energy = energy;
-        best.swap(slice);
-      }
-    }
-    done(read, best);
-  }
+  GroupReads(
+      base, begin, end, static_cast<size_t>(p) * static_cast<size_t>(n),
+      skip, [&](const SweepRead* reads, const int* ids, int count) {
+        if (lanes && count == kLanes) {
+          SqaLaneBatch(ising, p, beta_slice, j_perp, reads);
+        } else {
+          for (int r = 0; r < count; ++r) {
+            SqaState state(ising, p, reads[r].spins);
+            for (const double j : j_perp) {
+              ScalarStep(&state, n, p, beta_slice, j, reads[r].rng);
+            }
+          }
+        }
+        // Read out each read's best slice. Energies are recomputed
+        // exactly, so cached-field drift never picks the slice.
+        for (int r = 0; r < count; ++r) {
+          const int8_t* slices = reads[r].spins->data();
+          double best_energy = std::numeric_limits<double>::infinity();
+          for (int k = 0; k < p; ++k) {
+            const int8_t* first = slices + static_cast<size_t>(k) *
+                                               static_cast<size_t>(n);
+            slice.assign(first, first + n);
+            const double energy = ising.Energy(slice);
+            if (energy < best_energy) {
+              best_energy = energy;
+              best.swap(slice);
+            }
+          }
+          done(ids[r], best);
+        }
+      });
 }
 
 SampleSet SimulatedQuantumAnnealer::SampleIsing(

@@ -51,7 +51,11 @@ struct SqaOptions : ReadOptions, SqaAnneal {};
 
 /// Anneals the reads in [begin, end) of one SQA call: read r forks
 /// `base.Fork(r)`, draws its P random slices, and runs `anneal.sweeps`
-/// steps. Reads for which `skip(r)` holds (may be empty) are not annealed.
+/// steps. Reads for which `skip(r)` holds (may be empty) are not annealed;
+/// the rest are grouped four at a time (`GroupReads`), and with AVX2
+/// (`ScalarLanesSupported`) each full group anneals in lockstep through
+/// `SqaLaneBatch`, bit-identical to the scalar step that leftover reads and
+/// other hosts run (see anneal/sweep_kernel.h).
 /// `done(r, spins)` sees every annealed read in ascending order, with the
 /// spins of its lowest-energy slice (the first of equal minima). Each
 /// read's spins depend on (base, r) alone, so any partition of a call's

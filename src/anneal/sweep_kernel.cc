@@ -19,8 +19,6 @@ namespace qmqo {
 namespace anneal {
 namespace {
 
-constexpr int kLanes = 4;
-
 /// Initial local fields field[i] = h_i + sum_j J_ij s_j, summed in CSR
 /// order — the scalar loop's and every lane's starting point.
 void InitFields(const qubo::IsingProblem& ising, const int8_t* s,
@@ -156,6 +154,104 @@ QMQO_AVX2_INLINE __m256d Screen4(__m256d delta, __m256d neg_beta,
   return accept;
 }
 
+/// The per-lane draw streams of a lane kernel, one read per lane. Lane l's
+/// uniforms occupy uniforms[l * kDrawBuffer, (l + 1) * kDrawBuffer), and
+/// lane l of the kernel's `next4` indexes its next unused one; starts[l]
+/// is its engine as of the buffer's first word, for the rewind at the end.
+struct LaneDraws {
+  alignas(32) double uniforms[kLanes * kDrawBuffer];
+  std::mt19937_64 starts[kLanes];
+  std::mt19937_64* const* engines;
+};
+
+/// Fills every lane's buffer from `engines` and returns the lanes' first
+/// draw indices, the kernel's initial `next4`.
+QMQO_AVX2_INLINE __m256i StartDraws(std::mt19937_64* const* engines,
+                                    LaneDraws* draws) {
+  draws->engines = engines;
+  for (int l = 0; l < kLanes; ++l) {
+    Refill(engines[l], &draws->starts[l], draws->uniforms + l * kDrawBuffer);
+  }
+  return _mm256_setr_epi64x(0, kDrawBuffer, 2 * kDrawBuffer,
+                            3 * kDrawBuffer);
+}
+
+/// One Metropolis proposal per lane with flip delta `delta`: downhill
+/// lanes accept without a draw; uphill lanes (delta > 0 or NaN) each
+/// consume their next uniform, exactly where the scalar loop calls
+/// `UniformReal`, and go through `Screen4`. Spent buffers are refilled.
+/// Returns the accept mask.
+QMQO_AVX2_INLINE __m256d Metropolis4(LaneDraws* draws, __m256i* next4,
+                                     __m256d delta, __m256d neg_beta) {
+  const __m256d down = _mm256_cmp_pd(delta, _mm256_setzero_pd(), _CMP_LE_OQ);
+  if (_mm256_movemask_pd(down) == (1 << kLanes) - 1) return down;
+  const __m256d u = _mm256_i64gather_pd(draws->uniforms, *next4, 8);
+  const __m256d accept = Screen4(delta, neg_beta, u);
+  *next4 = _mm256_sub_epi64(
+      *next4, _mm256_xor_si256(_mm256_castpd_si256(down),
+                               _mm256_set1_epi64x(-1)));
+  const __m256i buffer_end =
+      _mm256_setr_epi64x(kDrawBuffer, 2 * kDrawBuffer, 3 * kDrawBuffer,
+                         4 * kDrawBuffer);
+  const int spent = _mm256_movemask_pd(
+      _mm256_castsi256_pd(_mm256_cmpeq_epi64(*next4, buffer_end)));
+  if (__builtin_expect(spent != 0, 0)) {
+    alignas(32) int64_t next[kLanes];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(next), *next4);
+    for (int l = 0; l < kLanes; ++l) {
+      if (!(spent >> l & 1)) continue;
+      Refill(draws->engines[l], &draws->starts[l],
+             draws->uniforms + l * kDrawBuffer);
+      next[l] = static_cast<int64_t>(l) * kDrawBuffer;
+    }
+    *next4 = _mm256_load_si256(reinterpret_cast<const __m256i*>(next));
+  }
+  return accept;
+}
+
+/// Rewinds each engine to its buffer's first word and skips the words its
+/// lane consumed, leaving it where the scalar loop would.
+QMQO_AVX2_INLINE void EndDraws(LaneDraws* draws, __m256i next4) {
+  alignas(32) int64_t next[kLanes];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(next), next4);
+  for (int l = 0; l < kLanes; ++l) {
+    *draws->engines[l] = draws->starts[l];
+    draws->engines[l]->discard(
+        static_cast<unsigned long long>(next[l] - l * kDrawBuffer));
+  }
+}
+
+/// A finalized problem's CSR arrays. The lane kernels read them through
+/// these local pointers: their vector stores may alias anything, so
+/// pointers read from the `CsrGraph` would be reloaded after every store.
+struct CsrArrays {
+  explicit CsrArrays(const qubo::CsrGraph& csr)
+      : offsets(csr.row_offsets.data()),
+        ids(csr.neighbor_ids.data()),
+        weights(csr.weights.data()) {}
+  const int32_t* offsets;
+  const qubo::VarId* ids;
+  const double* weights;
+};
+
+/// Flips spin i in the accepted lanes: negates their m2s at `m_i` and adds
+/// w * change to their neighbors' entries of `field` (lane l of spin j at
+/// [4 j + l]); other lanes keep every bit.
+QMQO_AVX2_INLINE void Flip4(CsrArrays csr, qubo::VarId i, double* field,
+                            double* m_i, __m256d change, __m256d accept) {
+  _mm256_storeu_pd(
+      m_i, _mm256_blendv_pd(change,
+                            _mm256_sub_pd(_mm256_setzero_pd(), change),
+                            accept));
+  for (int32_t e = csr.offsets[i]; e < csr.offsets[i + 1]; ++e) {
+    double* f_j = field + static_cast<size_t>(csr.ids[e]) * kLanes;
+    const __m256d f = _mm256_loadu_pd(f_j);
+    const __m256d updated = _mm256_add_pd(
+        f, _mm256_mul_pd(_mm256_set1_pd(csr.weights[e]), change));
+    _mm256_storeu_pd(f_j, _mm256_blendv_pd(f, updated, accept));
+  }
+}
+
 /// The lane kernel: `RunSweeps` on four reads in lockstep. `field` and
 /// `m2s` hold lane l of spin i at [4 i + l]; m2s is -2 s, the scalar
 /// loop's flip change. `engines[l]` is lane l's read stream, left at the
@@ -164,108 +260,135 @@ QMQO_AVX2 void LaneSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
                           int sweeps, std::mt19937_64* const* engines,
                           double* field, double* m2s) {
   const int n = ising.num_spins();
-  const qubo::CsrGraph& csr = ising.csr();
-  const int32_t* offsets = csr.row_offsets.data();
-  const qubo::VarId* ids = csr.neighbor_ids.data();
-  const double* weights = csr.weights.data();
-
-  // Lane l's uniforms occupy uniforms[l * kDrawBuffer, (l + 1) *
-  // kDrawBuffer); next[l] indexes its next unused one. starts[l] is its
-  // engine as of the buffer's first word, for the rewind at the end.
-  alignas(32) double uniforms[kLanes * kDrawBuffer];
-  alignas(32) int64_t next[kLanes];
-  std::mt19937_64 starts[kLanes];
-  for (int l = 0; l < kLanes; ++l) {
-    Refill(engines[l], &starts[l], uniforms + l * kDrawBuffer);
-    next[l] = static_cast<int64_t>(l) * kDrawBuffer;
-  }
-  __m256i next4 = _mm256_load_si256(reinterpret_cast<const __m256i*>(next));
-  const __m256i buffer_end =
-      _mm256_setr_epi64x(kDrawBuffer, 2 * kDrawBuffer, 3 * kDrawBuffer,
-                         4 * kDrawBuffer);
-
+  const CsrArrays csr(ising.csr());
+  LaneDraws draws;
+  __m256i next4 = StartDraws(engines, &draws);
   for (int sweep = 0; sweep < sweeps; ++sweep) {
     const __m256d neg_beta = _mm256_set1_pd(-beta.At(sweep, sweeps));
     for (qubo::VarId i = 0; i < n; ++i) {
-      double* f_i = field + static_cast<size_t>(i) * kLanes;
       double* m_i = m2s + static_cast<size_t>(i) * kLanes;
       const __m256d change = _mm256_loadu_pd(m_i);
-      const __m256d delta = _mm256_mul_pd(change, _mm256_loadu_pd(f_i));
-      const __m256d down =
-          _mm256_cmp_pd(delta, _mm256_setzero_pd(), _CMP_LE_OQ);
-      __m256d accept = down;
-      if (_mm256_movemask_pd(down) != (1 << kLanes) - 1) {
-        // Uphill lanes (delta > 0 or NaN) each consume their next draw.
-        const __m256d u = _mm256_i64gather_pd(uniforms, next4, 8);
-        accept = Screen4(delta, neg_beta, u);
-        next4 = _mm256_sub_epi64(
-            next4, _mm256_xor_si256(_mm256_castpd_si256(down),
-                                    _mm256_set1_epi64x(-1)));
-        const int spent =
-            _mm256_movemask_pd(_mm256_castsi256_pd(
-                _mm256_cmpeq_epi64(next4, buffer_end)));
-        if (__builtin_expect(spent != 0, 0)) {
-          _mm256_store_si256(reinterpret_cast<__m256i*>(next), next4);
-          for (int l = 0; l < kLanes; ++l) {
-            if (!(spent >> l & 1)) continue;
-            Refill(engines[l], &starts[l], uniforms + l * kDrawBuffer);
-            next[l] = static_cast<int64_t>(l) * kDrawBuffer;
-          }
-          next4 = _mm256_load_si256(reinterpret_cast<const __m256i*>(next));
+      const __m256d delta = _mm256_mul_pd(
+          change, _mm256_loadu_pd(field + static_cast<size_t>(i) * kLanes));
+      Flip4(csr, i, field, m_i, change,
+            Metropolis4(&draws, &next4, delta, neg_beta));
+    }
+  }
+  EndDraws(&draws, next4);
+}
+
+/// The SQA lane kernel: `j_perp.size()` steps of sqa.cc's scalar step on
+/// four reads in lockstep. `field` and `m2s` hold lane l of spin i of
+/// slice k at [4 (k n + i) + l]. Slice moves take ascending k, then
+/// ascending i; their kinetic term ((2 j_perp) s) (s_prev + s_next) is a
+/// product of exact factors, so it is exact and `delta + kinetic` rounds
+/// once, as in the scalar step. Global moves sum the slice deltas in slice
+/// order from 0.
+QMQO_AVX2 void SqaLaneSteps(const qubo::IsingProblem& ising, int p,
+                            double beta_slice,
+                            const std::vector<double>& j_perp,
+                            std::mt19937_64* const* engines, double* field,
+                            double* m2s) {
+  const int n = ising.num_spins();
+  const CsrArrays csr(ising.csr());
+  const size_t slice_stride = static_cast<size_t>(n) * kLanes;
+  const __m256d neg_beta = _mm256_set1_pd(-beta_slice);
+  const __m256d minus_half = _mm256_set1_pd(-0.5);
+  LaneDraws draws;
+  __m256i next4 = StartDraws(engines, &draws);
+  for (const double j : j_perp) {
+    const __m256d two_j = _mm256_set1_pd(2.0 * j);
+    for (int k = 0; k < p; ++k) {
+      double* field_k = field + static_cast<size_t>(k) * slice_stride;
+      double* m2s_k = m2s + static_cast<size_t>(k) * slice_stride;
+      const double* m2s_prev =
+          m2s + static_cast<size_t>((k + p - 1) % p) * slice_stride;
+      const double* m2s_next =
+          m2s + static_cast<size_t>((k + 1) % p) * slice_stride;
+      for (qubo::VarId i = 0; i < n; ++i) {
+        const size_t at = static_cast<size_t>(i) * kLanes;
+        const __m256d change = _mm256_loadu_pd(m2s_k + at);
+        const __m256d delta =
+            _mm256_mul_pd(change, _mm256_loadu_pd(field_k + at));
+        // -0.5 * (-2 s) is s exactly.
+        const __m256d s = _mm256_mul_pd(change, minus_half);
+        const __m256d neighbors_sum = _mm256_add_pd(
+            _mm256_mul_pd(_mm256_loadu_pd(m2s_prev + at), minus_half),
+            _mm256_mul_pd(_mm256_loadu_pd(m2s_next + at), minus_half));
+        const __m256d kinetic =
+            _mm256_mul_pd(_mm256_mul_pd(two_j, s), neighbors_sum);
+        const __m256d accept = Metropolis4(
+            &draws, &next4, _mm256_add_pd(delta, kinetic), neg_beta);
+        // Once the slices couple, most SQA proposals are rejected in every
+        // lane, and skipping the neighbor loop pays; in SA the branch
+        // costs more than it saves.
+        if (_mm256_movemask_pd(accept) != 0) {
+          Flip4(csr, i, field_k, m2s_k + at, change, accept);
         }
       }
-      // Flip the accepted lanes: negate their m2s and add w * change to
-      // their neighbors' fields; other lanes keep every bit.
-      _mm256_storeu_pd(
-          m_i, _mm256_blendv_pd(change,
-                                _mm256_sub_pd(_mm256_setzero_pd(), change),
-                                accept));
-      for (int32_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-        double* f_j = field + static_cast<size_t>(ids[e]) * kLanes;
-        const __m256d f = _mm256_loadu_pd(f_j);
-        const __m256d updated = _mm256_add_pd(
-            f, _mm256_mul_pd(_mm256_set1_pd(weights[e]), change));
-        _mm256_storeu_pd(f_j, _mm256_blendv_pd(f, updated, accept));
+    }
+    for (qubo::VarId i = 0; i < n; ++i) {
+      const size_t at = static_cast<size_t>(i) * kLanes;
+      __m256d delta = _mm256_setzero_pd();
+      for (int k = 0; k < p; ++k) {
+        const size_t slice = static_cast<size_t>(k) * slice_stride;
+        delta = _mm256_add_pd(
+            delta, _mm256_mul_pd(_mm256_loadu_pd(m2s + slice + at),
+                                 _mm256_loadu_pd(field + slice + at)));
+      }
+      const __m256d accept = Metropolis4(&draws, &next4, delta, neg_beta);
+      if (_mm256_movemask_pd(accept) == 0) continue;
+      for (int k = 0; k < p; ++k) {
+        const size_t slice = static_cast<size_t>(k) * slice_stride;
+        Flip4(csr, i, field + slice, m2s + slice + at,
+              _mm256_loadu_pd(m2s + slice + at), accept);
+      }
+    }
+  }
+  EndDraws(&draws, next4);
+}
+
+/// Four reads in lane layout: reads[l].spins holds `slices` consecutive
+/// spin vectors of `ising` (one for SA, P for SQA). Entry [4 j + l] of
+/// `m2s` is -2 s for entry j of read l's spins and of `field` its slice's
+/// initial local field; `engines[l]` is read l's stream.
+struct Lanes {
+  Lanes(const qubo::IsingProblem& ising, const SweepRead* reads, int slices)
+      : reads(reads) {
+    const size_t n = static_cast<size_t>(ising.num_spins());
+    const size_t size = n * static_cast<size_t>(slices);
+    field.resize(size * kLanes);
+    m2s.resize(size * kLanes);
+    for (int l = 0; l < kLanes; ++l) {
+      const int8_t* s = reads[l].spins->data();
+      assert(reads[l].spins->size() == size);
+      for (size_t k = 0; k < size; k += n) {
+        InitFields(ising, s + k, field.data() + k * kLanes + l, kLanes);
+      }
+      for (size_t j = 0; j < size; ++j) {
+        m2s[j * kLanes + static_cast<size_t>(l)] =
+            -2.0 * static_cast<double>(s[j]);
+      }
+      engines[l] = &reads[l].rng->engine();
+    }
+  }
+
+  /// Writes the lanes' spins back to their reads.
+  void Store() const {
+    for (int l = 0; l < kLanes; ++l) {
+      std::vector<int8_t>& s = *reads[l].spins;
+      for (size_t j = 0; j < s.size(); ++j) {
+        s[j] = m2s[j * kLanes + static_cast<size_t>(l)] < 0.0 ? int8_t{1}
+                                                              : int8_t{-1};
       }
     }
   }
 
-  // Rewind: each engine goes back to its buffer's first word and skips
-  // the words its lane consumed.
-  _mm256_store_si256(reinterpret_cast<__m256i*>(next), next4);
-  for (int l = 0; l < kLanes; ++l) {
-    *engines[l] = starts[l];
-    engines[l]->discard(
-        static_cast<unsigned long long>(next[l] - l * kDrawBuffer));
-  }
-}
-
-/// Four reads through the lane kernel.
-void LaneBatch(const qubo::IsingProblem& ising, const Schedule& beta,
-               int sweeps, const SweepRead* reads) {
-  const size_t n = static_cast<size_t>(ising.num_spins());
-  std::vector<double> field(n * kLanes);
-  std::vector<double> m2s(n * kLanes);
+  const SweepRead* reads;
+  std::vector<double> field;
+  std::vector<double> m2s;
   std::mt19937_64* engines[kLanes];
-  for (int l = 0; l < kLanes; ++l) {
-    const int8_t* s = reads[l].spins->data();
-    assert(reads[l].spins->size() == n);
-    InitFields(ising, s, field.data() + l, kLanes);
-    for (size_t i = 0; i < n; ++i) {
-      m2s[i * kLanes + static_cast<size_t>(l)] =
-          -2.0 * static_cast<double>(s[i]);
-    }
-    engines[l] = &reads[l].rng->engine();
-  }
-  LaneSweeps(ising, beta, sweeps, engines, field.data(), m2s.data());
-  for (int l = 0; l < kLanes; ++l) {
-    int8_t* s = reads[l].spins->data();
-    for (size_t i = 0; i < n; ++i) {
-      s[i] = m2s[i * kLanes + static_cast<size_t>(l)] < 0.0 ? int8_t{1}
-                                                            : int8_t{-1};
-    }
-  }
-}
+};
 
 #endif  // QMQO_SCALAR_LANES
 
@@ -325,7 +448,10 @@ void RunSweepsBatch(const qubo::IsingProblem& ising, const Schedule& beta,
 #if QMQO_SCALAR_LANES
   if (ScalarLanesSupported() && ising.num_spins() > 0 && sweeps > 0) {
     for (; r + kLanes <= count; r += kLanes) {
-      LaneBatch(ising, beta, sweeps, reads + r);
+      Lanes lanes(ising, reads + r, 1);
+      LaneSweeps(ising, beta, sweeps, lanes.engines, lanes.field.data(),
+                 lanes.m2s.data());
+      lanes.Store();
     }
   }
 #endif
@@ -334,28 +460,26 @@ void RunSweepsBatch(const qubo::IsingProblem& ising, const Schedule& beta,
   }
 }
 
-void AnnealReads(const qubo::IsingProblem& ising, const Schedule& beta,
-                 int sweeps, const Rng& base, int begin, int end,
-                 const std::function<bool(int)>& skip,
-                 const std::function<void(int, const std::vector<int8_t>&)>&
-                     done) {
-  const size_t n = static_cast<size_t>(ising.num_spins());
+void GroupReads(
+    const Rng& base, int begin, int end, size_t spins_per_read,
+    const std::function<bool(int)>& skip,
+    const std::function<void(const SweepRead*, const int*, int)>& run) {
   std::vector<Rng> rngs;
   rngs.reserve(kLanes);  // SweepRead keeps pointers into it
-  std::vector<std::vector<int8_t>> spins(kLanes, std::vector<int8_t>(n));
-  int batch[kLanes];
+  std::vector<std::vector<int8_t>> spins(kLanes,
+                                         std::vector<int8_t>(spins_per_read));
+  int ids[kLanes];
   auto flush = [&] {
     const int count = static_cast<int>(rngs.size());
     SweepRead reads[kLanes] = {};
     for (int k = 0; k < count; ++k) reads[k] = {&rngs[k], &spins[k]};
-    RunSweepsBatch(ising, beta, sweeps, reads, count);
-    for (int k = 0; k < count; ++k) done(batch[k], spins[k]);
+    run(reads, ids, count);
     rngs.clear();
   };
   for (int r = begin; r < end; ++r) {
     if (skip && skip(r)) continue;
     const size_t slot = rngs.size();
-    batch[slot] = r;
+    ids[slot] = r;
     rngs.push_back(base.Fork(static_cast<uint64_t>(r)));
     RandomSpins(&rngs.back(), &spins[slot]);
     if (rngs.size() == kLanes) flush();
@@ -363,7 +487,29 @@ void AnnealReads(const qubo::IsingProblem& ising, const Schedule& beta,
   if (!rngs.empty()) flush();
 }
 
+void AnnealReads(const qubo::IsingProblem& ising, const Schedule& beta,
+                 int sweeps, const Rng& base, int begin, int end,
+                 const std::function<bool(int)>& skip,
+                 const std::function<void(int, const std::vector<int8_t>&)>&
+                     done) {
+  GroupReads(base, begin, end, static_cast<size_t>(ising.num_spins()), skip,
+             [&](const SweepRead* reads, const int* ids, int count) {
+               RunSweepsBatch(ising, beta, sweeps, reads, count);
+               for (int k = 0; k < count; ++k) done(ids[k], *reads[k].spins);
+             });
+}
+
 #if QMQO_SCALAR_LANES
+
+void SqaLaneBatch(const qubo::IsingProblem& ising, int num_slices,
+                  double beta_slice, const std::vector<double>& j_perp,
+                  const SweepRead* reads) {
+  assert(ScalarLanesSupported());
+  Lanes lanes(ising, reads, num_slices);
+  SqaLaneSteps(ising, num_slices, beta_slice, j_perp, lanes.engines,
+               lanes.field.data(), lanes.m2s.data());
+  lanes.Store();
+}
 
 QMQO_AVX2 void FastExpLanes(const double* x, double* out) {
   _mm256_storeu_pd(out, FastExp4(_mm256_loadu_pd(x)));
@@ -384,6 +530,10 @@ QMQO_AVX2 void ScreenLanes(const double* delta, double beta, const double* u,
 
 #else
 
+void SqaLaneBatch(const qubo::IsingProblem&, int, double,
+                  const std::vector<double>&, const SweepRead*) {
+  std::abort();
+}
 void FastExpLanes(const double*, double*) { std::abort(); }
 void UniformLanes(const uint64_t*, double*) { std::abort(); }
 void ScreenLanes(const double*, double, const double*, bool*) {

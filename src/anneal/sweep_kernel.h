@@ -2,19 +2,23 @@
 #define QMQO_ANNEAL_SWEEP_KERNEL_H_
 
 /// \file sweep_kernel.h
-/// The Metropolis sweep of the simulated-annealing samplers.
+/// The Metropolis sweeps of the annealing samplers.
 ///
-/// There is one kernel: `RunSweeps`, the per-spin loop in ascending spin
+/// There is one SA kernel: `RunSweeps`, the per-spin loop in ascending spin
 /// order with one `Rng::UniformReal` draw per uphill proposal, exact
 /// `std::exp`, and incremental local fields. Its random stream and results
-/// are frozen across releases and identical at any thread count.
+/// are frozen across releases and identical at any thread count. SQA's
+/// frozen step (sqa.cc) is the same loop over P coupled slices plus global
+/// moves.
 ///
-/// `RunSweepsBatch` runs that kernel on several reads of one problem. On
-/// hosts with AVX2 (`ScalarLanesSupported`, decided at run time) it anneals
-/// them four at a time in lockstep, one vector lane per read; leftover
-/// reads, and every read on other hosts, go through `RunSweeps`. Each lane
-/// reproduces `RunSweeps` on its read bit for bit — final spins and the
-/// read's `Rng` position alike:
+/// `RunSweepsBatch` runs the SA kernel on several reads of one problem, and
+/// `SqaLaneBatch` runs the SQA step on four. On hosts with AVX2
+/// (`ScalarLanesSupported`, decided at run time) they anneal reads four at
+/// a time in lockstep, one vector lane per read; leftover reads, and every
+/// read on other hosts, go through the scalar loops. Each lane reproduces
+/// its scalar loop on its read bit for bit — final spins and the read's
+/// `Rng` position alike. Both lane kernels share one draw stream, screen
+/// and flip:
 ///
 ///  * **Draw.** Each lane buffers its own read's tempered `mt19937_64`
 ///    words and consumes one only on an uphill proposal, exactly where the
@@ -33,6 +37,12 @@
 ///  * **Flip.** Accepted lanes update their neighbors' fields as
 ///    f + w * (-2 s): the product is exact and the sum rounds once, as in
 ///    the scalar loop; rejected lanes keep their fields untouched.
+///
+/// For SQA, a slice move's delta is (-2 s) f + ((2 j_perp) s) (s_prev +
+/// s_next): every factor of the kinetic term is exact, so the term is
+/// exact and the sum rounds once, as in the scalar step; a global move
+/// sums the slices' (-2 s) f in slice order from 0. Draws, screen (at
+/// -beta_slice) and flips are the machinery above.
 
 #include <cstdint>
 #include <cstring>
@@ -96,12 +106,15 @@ void RandomSpins(Rng* rng, std::vector<int8_t>* spins);
 void RunSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
                int sweeps, Rng* rng, std::vector<int8_t>* spins);
 
-/// True when `RunSweepsBatch` uses its four-lane kernel: an x86-64 build
-/// against libstdc++ (whose `generate_canonical` the lanes reproduce) on
-/// a host with AVX2, checked at run time.
+/// Reads one lane kernel call anneals in lockstep.
+inline constexpr int kLanes = 4;
+
+/// True when `RunSweepsBatch` and SQA use the four-lane kernels: an
+/// x86-64 build against libstdc++ (whose `generate_canonical` the lanes
+/// reproduce) on a host with AVX2, checked at run time.
 bool ScalarLanesSupported();
 
-/// One read handed to `RunSweepsBatch`: its stream and its spins.
+/// One read handed to a batch kernel: its stream and its spins.
 struct SweepRead {
   Rng* rng;
   std::vector<int8_t>* spins;
@@ -114,18 +127,37 @@ struct SweepRead {
 void RunSweepsBatch(const qubo::IsingProblem& ising, const Schedule& beta,
                     int sweeps, const SweepRead* reads, int count);
 
+/// Groups the reads in [begin, end) of one sampler call for a batch
+/// kernel: read r forks `base.Fork(r)` and fills `spins_per_read` spins
+/// from `RandomSpins`; reads for which `skip(r)` holds (may be empty) are
+/// left out. `run(reads, ids, count)` sees the rest in ascending order, in
+/// groups of four and a smaller last one; ids[k] is reads[k]'s index.
+void GroupReads(
+    const Rng& base, int begin, int end, size_t spins_per_read,
+    const std::function<bool(int)>& skip,
+    const std::function<void(const SweepRead*, const int*, int)>& run);
+
 /// Anneals the reads in [begin, end) of one sampler call: read r forks
 /// `base.Fork(r)`, starts from `RandomSpins`, and runs `sweeps` sweeps;
-/// reads are grouped four at a time for `RunSweepsBatch`. Reads for which
-/// `skip(r)` holds (may be empty) are left out of the groups entirely.
-/// `done(r, spins)` sees every annealed read in ascending order. Each
-/// read's spins depend on (base, r) alone, so any partition of a call's
-/// reads into ranges yields the same reads.
+/// reads are grouped four at a time (`GroupReads`) for `RunSweepsBatch`.
+/// Reads for which `skip(r)` holds (may be empty) are left out of the
+/// groups entirely. `done(r, spins)` sees every annealed read in ascending
+/// order. Each read's spins depend on (base, r) alone, so any partition of
+/// a call's reads into ranges yields the same reads.
 void AnnealReads(const qubo::IsingProblem& ising, const Schedule& beta,
                  int sweeps, const Rng& base, int begin, int end,
                  const std::function<bool(int)>& skip,
                  const std::function<void(int, const std::vector<int8_t>&)>&
                      done);
+
+/// Runs `j_perp.size()` SQA steps (sqa.cc), step t with inter-slice
+/// coupling j_perp[t], on four reads in lockstep: reads[l].spins holds read
+/// l's `num_slices` slices one after the other. Spins and stream positions
+/// are bit-identical to the scalar step's. Call only when
+/// `ScalarLanesSupported()`; `ising` must be finalized.
+void SqaLaneBatch(const qubo::IsingProblem& ising, int num_slices,
+                  double beta_slice, const std::vector<double>& j_perp,
+                  const SweepRead* reads);
 
 /// The lane kernel's vector pieces over four-element buffers, for tests;
 /// call only when `ScalarLanesSupported()`.

@@ -6,7 +6,6 @@
 
 #include "embedding/capacity.h"
 #include "embedding/clustered.h"
-#include "util/string_util.h"
 
 namespace qmqo {
 namespace harness {
@@ -18,14 +17,11 @@ Result<PaperInstance> GeneratePaperInstance(
   if (l < 2) {
     return Status::InvalidArgument("plans_per_query must be at least 2");
   }
-  int capacity = embedding::MeasuredMaxQueries(graph, l);
-  int num_queries =
-      options.num_queries > 0 ? options.num_queries : capacity;
-  if (num_queries > capacity) {
-    return Status::ResourceExhausted(
-        StrFormat("requested %d queries with %d plans; chip capacity is %d",
-                  num_queries, l, capacity));
-  }
+  // A given count needs no capacity search: the embedders below return
+  // ResourceExhausted when it does not fit.
+  const int num_queries = options.num_queries > 0
+                              ? options.num_queries
+                              : embedding::MeasuredMaxQueries(graph, l);
 
   PaperInstance instance;
   instance.num_queries = num_queries;

@@ -54,8 +54,8 @@ struct PaperInstance {
   int plans_per_query = 0;
 };
 
-/// Generates one instance on `graph`. Fails when the requested query count
-/// exceeds the chip capacity.
+/// Generates one instance on `graph`. Fails with ResourceExhausted when the
+/// requested query count does not embed on the chip.
 Result<PaperInstance> GeneratePaperInstance(
     const chimera::ChimeraGraph& graph, const PaperWorkloadOptions& options,
     Rng* rng);

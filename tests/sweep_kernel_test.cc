@@ -1,7 +1,8 @@
 // Tests for the sweep kernel: the FastExp error bound, the frozen
-// initialization stream, and the four-lane kernel's exactness — its
+// initialization stream, and the four-lane kernels' exactness — their
 // vector FastExp, draw conversion, and accept screen piece by piece, then
-// whole batches and samplers against the scalar reference, read for read.
+// whole SA batches, SQA calls and samplers against the scalar reference,
+// read for read.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "anneal/dwave_simulator.h"
 #include "anneal/schedule.h"
 #include "anneal/simulated_annealer.h"
+#include "anneal/sqa.h"
 #include "anneal/sweep_kernel.h"
 #include "chimera/topology.h"
 #include "embedding/embedded_qubo.h"
@@ -452,6 +454,132 @@ TEST(ScalarLanesTest, DeviceDropoutLeavesSurvivingReadsUnchanged) {
           << "read " << survivors[k] << " at " << threads << " threads";
     }
   }
+}
+
+// --------------------------------------------------------------------
+// SQA lanes against the scalar step
+// --------------------------------------------------------------------
+
+/// The exactness problems plus a one-spin problem and a small dense glass
+/// with an odd spin count.
+std::vector<qubo::IsingProblem> SqaExactnessProblems() {
+  std::vector<qubo::IsingProblem> problems = ExactnessProblems();
+  qubo::IsingProblem one(1);
+  one.AddField(0, 0.75);
+  problems.push_back(std::move(one));
+  Rng rng(43);
+  qubo::IsingProblem odd(7);
+  for (qubo::VarId i = 0; i < 7; ++i) {
+    odd.AddField(i, rng.UniformReal(-1.0, 1.0));
+    for (qubo::VarId j = i + 1; j < 7; ++j) {
+      odd.AddCoupling(i, j, rng.UniformReal(-1.0, 1.0));
+    }
+  }
+  problems.push_back(std::move(odd));
+  for (qubo::IsingProblem& ising : problems) ising.Finalize();
+  return problems;
+}
+
+/// The spins `AnnealSqaReads` reports for reads [begin, end), in order.
+std::vector<std::vector<int8_t>> SqaReads(const qubo::IsingProblem& ising,
+                                          const SqaAnneal& anneal,
+                                          const Rng& base, int begin,
+                                          int end) {
+  std::vector<std::vector<int8_t>> out;
+  AnnealSqaReads(ising, anneal, base, begin, end, nullptr,
+                 [&](int, const std::vector<int8_t>& spins) {
+                   out.push_back(spins);
+                 });
+  return out;
+}
+
+TEST(ScalarLanesTest, SqaLanesMatchSingleReadCalls) {
+  // An 8-read call anneals two lane groups; a one-read call takes the
+  // scalar step. Three regimes per slice count:
+  //  * the default ramp;
+  //  * hot (beta 0.1): every step proposes 9 n moves, about half of them
+  //    uphill, so on the large problems each lane draws thousands of
+  //    words per step and its buffer refills mid-step;
+  //  * cold (beta 4000): -beta_slice * total falls below -700, where the
+  //    screen defers to std::exp, and j_perp is -0.0 while tanh rounds
+  //    to 1.
+  if (!ScalarLanesSupported()) GTEST_SKIP() << "host lacks AVX2";
+  constexpr int kReads = 2 * kLanes;
+  const Rng base(31);
+  for (const qubo::IsingProblem& ising : SqaExactnessProblems()) {
+    for (int slices : {2, 3, 8}) {
+      for (double beta : {16.0, 0.1, 4000.0}) {
+        SqaAnneal anneal;
+        anneal.num_slices = slices;
+        anneal.sweeps = 6;
+        anneal.beta = beta;
+        const std::vector<std::vector<int8_t>> lanes =
+            SqaReads(ising, anneal, base, 0, kReads);
+        ASSERT_EQ(lanes.size(), static_cast<size_t>(kReads));
+        for (int r = 0; r < kReads; ++r) {
+          const std::vector<std::vector<int8_t>> single =
+              SqaReads(ising, anneal, base, r, r + 1);
+          ASSERT_EQ(single.size(), 1u);
+          EXPECT_EQ(lanes[static_cast<size_t>(r)], single[0])
+              << ising.num_spins() << " spins, " << slices
+              << " slices, beta " << beta << ", read " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(ScalarLanesTest, SqaMatchesScalarAtAnyThreadCount) {
+  const std::vector<qubo::IsingProblem> problems = SqaExactnessProblems();
+  const qubo::IsingProblem& ising = problems[1];  // the paper instance
+  SqaOptions options;
+  options.num_reads = 11;
+  options.num_slices = 4;
+  options.sweeps = 8;
+  options.seed = 19;
+  // The scalar reference: one single-read call per read.
+  SampleSet reference;
+  const Rng base(options.seed);
+  for (int r = 0; r < options.num_reads; ++r) {
+    for (const std::vector<int8_t>& spins :
+         SqaReads(ising, options, base, r, r + 1)) {
+      reference.AddSpins(spins, ising.Energy(spins));
+    }
+  }
+  reference.Finalize();
+  for (int threads : {1, 2, 3, 4}) {
+    options.num_threads = threads;
+    EXPECT_TRUE(SameSamples(
+        SimulatedQuantumAnnealer(options).SampleIsing(ising), reference))
+        << threads << " threads";
+  }
+}
+
+TEST(ScalarLanesTest, AnnealSqaReadsSkipsReadsWithoutShiftingOthers) {
+  // The device's SQA backend leaves dropped reads out of the lane groups,
+  // which regroups the survivors.
+  Rng rng(17);
+  qubo::IsingProblem glass = ChimeraGlass(4, 4, &rng);
+  glass.Finalize();
+  SqaAnneal anneal;
+  anneal.num_slices = 4;
+  anneal.sweeps = 16;
+  const Rng base(23);
+  auto skip = [](int read) { return read % 3 == 1 || read == 8; };
+  std::vector<int> seen;
+  AnnealSqaReads(glass, anneal, base, 2, 19, skip,
+                 [&](int read, const std::vector<int8_t>& spins) {
+                   seen.push_back(read);
+                   const std::vector<std::vector<int8_t>> reference =
+                       SqaReads(glass, anneal, base, read, read + 1);
+                   ASSERT_EQ(reference.size(), 1u);
+                   EXPECT_EQ(spins, reference[0]) << "read " << read;
+                 });
+  std::vector<int> expected;
+  for (int read = 2; read < 19; ++read) {
+    if (!skip(read)) expected.push_back(read);
+  }
+  EXPECT_EQ(seen, expected);
 }
 
 }  // namespace
