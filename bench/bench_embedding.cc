@@ -1,24 +1,18 @@
-// Embedding-pipeline benchmark: cold compile vs cached re-weight on a
+// Embedding-pipeline benchmark: the physical-mapping compile on a
 // paper-shape clustered workload (3 plans/query on the defective D-Wave 2X
 // chip — the 759-variable class of Table 1).
 //
-// Four paths are timed over the same set of re-weighted logical QUBOs:
-//   * uncached: EmbeddedQubo::Create on the CSR pipeline (no layout
-//               capture — what a cache-less pipeline pays per request),
-//   * cold:     Create + layout capture — the cache's miss path, the cost
-//               a hit replaces in the cache-enabled pipeline,
-//   * reweight: EmbeddingCache::GetOrCreate hits (structure hash + lookup
-//               + EmbeddedQubo::ReweightFrom replay),
-//   * legacy:   a verbatim replica of the seed's map-based cold path
+// Two paths are timed over the same set of re-weighted logical QUBOs:
+//   * uncached: EmbeddedQubo::Create on the CSR pipeline — the compile
+//               every device attempt pays,
+//   * legacy:   a verbatim replica of the seed's map-based compile
 //               (per-qubit adjacency vectors, per-term double-scan coupler
 //               placement in both verification and compilation).
 //
-// The benchmark *fails* (exit 1) unless the cached re-weight and the
-// legacy compile are bit-identical to the fresh CSR compile — the cache's
-// whole contract is that downstream samples cannot tell the difference.
-// Results go to BENCH_embedding.json (cold/reweight/legacy ms, cache
-// speedup, CSR-vs-map speedup, amortized per-request cost), whose gates
-// require cache_speedup >= 10x and csr_vs_map_speedup >= 1x.
+// The benchmark *fails* (exit 1) unless the legacy compile is bit-identical
+// to the CSR compile on every variant. Results go to BENCH_embedding.json
+// (uncached/legacy ms, CSR-vs-map speedup), whose gates require
+// csr_vs_map_speedup >= 1x and the parity flag.
 
 #include <algorithm>
 #include <cstdint>
@@ -32,7 +26,6 @@
 #include "chimera/topology.h"
 #include "embedding/embedded_qubo.h"
 #include "embedding/embedding.h"
-#include "embedding/embedding_cache.h"
 #include "harness/paper_workload.h"
 #include "mapping/logical_mapping.h"
 #include "util/rng.h"
@@ -267,15 +260,14 @@ bool IdenticalProblems(const qubo::QuboProblem& a, const qubo::QuboProblem& b) {
 qubo::QuboProblem ReweightedVariant(const qubo::QuboProblem& base,
                                     uint64_t seed) {
   Rng rng(seed);
-  std::vector<double> linear = base.linear_terms();
-  for (double& w : linear) w = rng.UniformReal(-10.0, 10.0);
-  std::vector<qubo::Interaction> terms = base.interactions();
-  for (qubo::Interaction& term : terms) {
-    double w = term.weight == 0.0 ? 1.0 : term.weight;
-    term.weight = w * rng.UniformReal(0.5, 1.5);
+  qubo::QuboProblem out(base.num_vars());
+  for (int i = 0; i < base.num_vars(); ++i) {
+    out.AddLinear(i, rng.UniformReal(-10.0, 10.0));
   }
-  qubo::QuboProblem out = qubo::QuboProblem::FromSorted(
-      base.num_vars(), std::move(linear), std::move(terms));
+  for (const qubo::Interaction& term : base.interactions()) {
+    double w = term.weight == 0.0 ? 1.0 : term.weight;
+    out.AddQuadratic(term.i, term.j, w * rng.UniformReal(0.5, 1.5));
+  }
   out.Finalize();
   return out;
 }
@@ -286,13 +278,14 @@ qmqo::Status qmqo::bench::RunEmbedding() {
   const bool full = bench::FullScale();
 
   // The paper's 3-plan class on the defective D-Wave 2X: 253 queries,
-  // 759 logical variables (Table 1). The default run scales the query
-  // count down so the bench stays fast.
+  // 759 logical variables (Table 1), clamped to what this defect map
+  // hosts. The default run scales the query count down so the bench stays
+  // fast.
   Rng defects(7);
   ChimeraGraph graph = ChimeraGraph::DWave2XWithDefects(&defects);
   harness::PaperWorkloadOptions workload;
   workload.plans_per_query = 3;
-  workload.num_queries = full ? 253 : 100;
+  workload.num_queries = full ? bench::ClampQueries(graph, {3, 253}) : 100;
   Rng workload_rng(11);
   auto instance = harness::GeneratePaperInstance(graph, workload,
                                                  &workload_rng);
@@ -315,13 +308,10 @@ qmqo::Status qmqo::bench::RunEmbedding() {
     variants.push_back(ReweightedVariant(base, 100 + static_cast<uint64_t>(v)));
   }
 
-  const int cold_repeats = full ? 24 : 8;
-  const int reweight_repeats = full ? 600 : 200;
+  const int repeats = full ? 24 : 8;
 
-  // --- Cold CSR compiles (no layout capture — the plain embed cost the
-  // CSR-vs-map comparison is about; the capture cost is paid once per
-  // cache miss and amortized away). One untimed warm-up touches all the
-  // instance memory first. ---
+  // --- CSR compiles. One untimed warm-up touches all the instance memory
+  // first. ---
   int physical_qubits = 0;
   {
     auto warmup = embedding::EmbeddedQubo::Create(variants[0],
@@ -330,108 +320,56 @@ qmqo::Status qmqo::bench::RunEmbedding() {
     physical_qubits = warmup->num_physical_vars();
   }
   Stopwatch uncached_clock;
-  for (int r = 0; r < cold_repeats; ++r) {
+  for (int r = 0; r < repeats; ++r) {
     auto compiled = embedding::EmbeddedQubo::Create(
         variants[static_cast<size_t>(r % kVariants)], instance->embedding,
         graph);
     QMQO_RETURN_IF_ERROR(compiled.status());
   }
-  const double uncached_ms = uncached_clock.ElapsedMillis() / cold_repeats;
+  const double uncached_ms = uncached_clock.ElapsedMillis() / repeats;
 
-  // --- Cache-miss compiles (Create + layout capture): what a cold request
-  // costs in the cache-enabled pipeline, and the work a hit replaces. ---
-  Stopwatch cold_clock;
-  for (int r = 0; r < cold_repeats; ++r) {
-    embedding::EmbeddedLayout layout;
-    auto compiled = embedding::EmbeddedQubo::Create(
-        variants[static_cast<size_t>(r % kVariants)], instance->embedding,
-        graph, {}, &layout);
-    QMQO_RETURN_IF_ERROR(compiled.status());
-  }
-  const double cold_ms = cold_clock.ElapsedMillis() / cold_repeats;
-
-  // --- Cached re-weights: one warm-up miss, then timed hits (structure
-  // hash + lookup + ReweightFrom — the full service-path cost of a hit). ---
-  embedding::EmbeddingCache cache;
-  {
-    auto warmup = cache.GetOrCreate(variants[0], instance->embedding, graph);
-    QMQO_RETURN_IF_ERROR(warmup.status());
-  }
-  Stopwatch reweight_clock;
-  for (int r = 0; r < reweight_repeats; ++r) {
-    auto compiled = cache.GetOrCreate(
-        variants[static_cast<size_t>(r % kVariants)], instance->embedding,
-        graph);
-    QMQO_RETURN_IF_ERROR(compiled.status());
-  }
-  const double reweight_ms = reweight_clock.ElapsedMillis() / reweight_repeats;
-  const embedding::EmbeddingCacheStats stats = cache.stats();
-
-  // --- Legacy map-based cold compiles (the seed's algorithm). ---
+  // --- Legacy map-based compiles (the seed's algorithm). ---
   LegacyAdjacency adj(graph);
   {
     auto warmup = LegacyCompile(variants[0], instance->embedding, graph, adj);
     QMQO_RETURN_IF_ERROR(warmup.status());
   }
   Stopwatch legacy_clock;
-  for (int r = 0; r < cold_repeats; ++r) {
+  for (int r = 0; r < repeats; ++r) {
     auto compiled = LegacyCompile(variants[static_cast<size_t>(r % kVariants)],
                                   instance->embedding, graph, adj);
     QMQO_RETURN_IF_ERROR(compiled.status());
   }
-  const double legacy_ms = legacy_clock.ElapsedMillis() / cold_repeats;
+  const double legacy_ms = legacy_clock.ElapsedMillis() / repeats;
 
-  // --- Bit-parity of all three paths on every variant. ---
-  bool reweight_identical = true;
+  // --- Bit-parity of both paths on every variant. ---
   bool embedding_identical = true;
   for (int v = 0; v < kVariants; ++v) {
     const qubo::QuboProblem& request = variants[static_cast<size_t>(v)];
     auto fresh =
         embedding::EmbeddedQubo::Create(request, instance->embedding, graph);
-    bool was_hit = false;
-    auto cached = cache.GetOrCreate(request, instance->embedding, graph, {},
-                                    &was_hit);
     auto legacy = LegacyCompile(request, instance->embedding, graph, adj);
-    if (!fresh.ok() || !cached.ok() || !legacy.ok() || !was_hit) {
+    if (!fresh.ok() || !legacy.ok()) {
       return Status::Internal(
           StrFormat("parity compile failed on variant %d", v));
-    }
-    if (!IdenticalProblems(fresh->physical(), cached->physical())) {
-      reweight_identical = false;
     }
     if (!IdenticalProblems(fresh->physical(), *legacy)) {
       embedding_identical = false;
     }
   }
 
-  const double cache_speedup = reweight_ms > 0.0 ? cold_ms / reweight_ms : 0.0;
   const double csr_vs_map_speedup =
       uncached_ms > 0.0 ? legacy_ms / uncached_ms : 0.0;
-  const int amortized_repeats = 100;
-  const double amortized_ms =
-      (cold_ms + (amortized_repeats - 1) * reweight_ms) / amortized_repeats;
 
   std::printf("uncached CSR compile: %9.3f ms\n", uncached_ms);
-  std::printf("cold miss (+capture): %9.3f ms\n", cold_ms);
-  std::printf("cached re-weight:     %9.3f ms  (%.1fx vs cold miss)\n",
-              reweight_ms, cache_speedup);
   std::printf("legacy map compile:   %9.3f ms  (CSR %.2fx vs map)\n",
               legacy_ms, csr_vs_map_speedup);
-  std::printf("amortized per request over %d repeats: %.3f ms\n",
-              amortized_repeats, amortized_ms);
-  std::printf("cache: %llu hits / %llu misses; parity: reweight %s, "
-              "legacy %s\n",
-              static_cast<unsigned long long>(stats.hits),
-              static_cast<unsigned long long>(stats.misses),
-              reweight_identical ? "identical" : "MISMATCH",
+  std::printf("parity: legacy %s\n",
               embedding_identical ? "identical" : "MISMATCH");
 
   bench::JsonArray rows;
   const std::pair<const char*, double> timed_paths[] = {
-      {"embed_uncached", uncached_ms},
-      {"embed_cold_miss", cold_ms},
-      {"embed_reweight", reweight_ms},
-      {"embed_legacy_cold", legacy_ms}};
+      {"embed_uncached", uncached_ms}, {"embed_legacy_cold", legacy_ms}};
   for (const auto& [engine, wall_ms] : timed_paths) {
     bench::JsonObject row;
     row.Add("engine", engine)
@@ -449,26 +387,17 @@ qmqo::Status qmqo::bench::RunEmbedding() {
       .Add("logical_interactions", base.num_interactions())
       .Add("physical_qubits", physical_qubits)
       .Add("uncached_embed_ms", uncached_ms)
-      .Add("cold_embed_ms", cold_ms)
-      .Add("cached_reweight_ms", reweight_ms)
       .Add("legacy_cold_embed_ms", legacy_ms)
-      .Add("cache_speedup", cache_speedup)
       .Add("csr_vs_map_speedup", csr_vs_map_speedup)
-      .Add("amortized_repeats", amortized_repeats)
-      .Add("amortized_embed_ms", amortized_ms)
-      .Add("reweight_identical", reweight_identical)
       .Add("embedding_identical", embedding_identical)
-      .Add("cache_hits", static_cast<int64_t>(stats.hits))
-      .Add("cache_misses", static_cast<int64_t>(stats.misses))
       .AddRaw("runs", rows.Dump());
   bench::Gates gates;
   gates.metric = "embeds_per_sec";
-  gates.floors = {{"cache_speedup", 10.0}, {"csr_vs_map_speedup", 1.0}};
-  gates.flags = {"reweight_identical", "embedding_identical"};
+  gates.floors = {{"csr_vs_map_speedup", 1.0}};
+  gates.flags = {"embedding_identical"};
   QMQO_RETURN_IF_ERROR(bench::WriteBenchArtifact("embedding", root, gates));
-  if (!reweight_identical || !embedding_identical) {
-    return Status::Internal(
-        "re-weighted or legacy compile diverged from the fresh CSR compile");
+  if (!embedding_identical) {
+    return Status::Internal("legacy compile diverged from the CSR compile");
   }
   return Status::OK();
 }

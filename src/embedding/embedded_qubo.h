@@ -50,9 +50,6 @@ struct EmbeddedQuboOptions {
   /// Multiplies the Choi bound; 1.0 is the paper setting. Values < 1 weaken
   /// chains (ablation: broken chains), large values blunt the energy signal.
   double chain_strength_scale = 1.0;
-  /// Use one global strength (the max over chains) instead of per-chain
-  /// strengths (ablation).
-  bool uniform_chain_strength = false;
   /// Fault injection (never owned; null = no faults). Site
   /// "embed.compile" (key: `fault_key`) fails `Create` with a typed error —
   /// the hook the chaos suite uses to exercise preprocessing failures.
@@ -62,107 +59,14 @@ struct EmbeddedQuboOptions {
   uint64_t fault_key = 0;
 };
 
-/// The weight-independent part of a compiled embedding: everything
-/// `EmbeddedQubo::Create` derives from the *structure* of (logical pattern,
-/// chains, hardware graph) but not from the coefficients. A layout captured
-/// once can be re-weighted per request (`EmbeddedQubo::ReweightFrom`),
-/// skipping verification, coupler placement, and spanning-tree search — the
-/// paper's gauge/chain-strength machinery already separates structure from
-/// coefficients, so the replay is bit-identical to a fresh compile.
-///
-/// Immutable after capture; safe to share across threads by const
-/// reference (the embedding cache hands out shared_ptrs).
-struct EmbeddedLayout {
-  /// One spanning-tree coupler inside a chain, as compact indices, plus its
-  /// slot in the sorted physical interaction pattern.
-  struct TreeEdge {
-    int a = -1;
-    int b = -1;
-    int32_t pattern_pos = -1;
-  };
-
-  // ---- structure identity (checked on reuse) ----
-  int num_logical_vars = 0;
-  /// (i, j) of every logical interaction, in `interactions()` order.
-  std::vector<qubo::VarId> pattern_i;
-  std::vector<qubo::VarId> pattern_j;
-
-  // ---- the embedding itself ----
-  std::vector<chimera::QubitId> used_qubits;  ///< compact -> hardware id
-  std::vector<int> compact_index;             ///< hardware id -> compact
-  std::vector<std::vector<int>> chains;       ///< per var, compact indices
-
-  // ---- replay script for the coefficient-dependent parts ----
-  /// Cross-chain coupler of logical term t, as compact indices (a in
-  /// chain(pattern_i[t]), b in chain(pattern_j[t])), plus its slot in the
-  /// sorted physical pattern. Valid only for layouts captured with every
-  /// term weight nonzero (`complete`).
-  std::vector<int> cross_a;
-  std::vector<int> cross_b;
-  std::vector<int32_t> cross_pattern_pos;
-  /// Spanning-tree edges of chain `var` live in
-  /// tree_edges[tree_offsets[var] .. tree_offsets[var + 1]), in the BFS
-  /// discovery order Create added them (the accumulation order matters for
-  /// bit-identity of the linear terms).
-  std::vector<int32_t> tree_offsets;
-  std::vector<TreeEdge> tree_edges;
-  /// Incident tree-edge count per compact index (each contributes one
-  /// `+= strength` to that qubit's linear term).
-  std::vector<int32_t> member_tree_count;
-  /// Cross-chain placements incident to each compact index, sorted by the
-  /// other endpoint's compact id — the exact iteration order of
-  /// `physical().neighbors()` during Create's Choi chain-strength sums.
-  /// Values are logical term indices (weight = that term's weight).
-  std::vector<int32_t> member_cross_offsets;
-  std::vector<int32_t> member_cross_terms;
-
-  // ---- physical pattern skeleton ----
-  /// Sorted (a < b lexicographic) physical interaction pattern; weights in
-  /// these Interaction entries are zero and filled per re-weight.
-  std::vector<qubo::Interaction> physical_pattern;
-  /// CSR skeleton of the pattern (row offsets + neighbor ids, no weights).
-  std::vector<int32_t> csr_row_offsets;
-  std::vector<qubo::VarId> csr_neighbor_ids;
-  /// The two CSR weight slots of pattern entry t (row a and row b copies).
-  std::vector<int32_t> csr_slot_a;
-  std::vector<int32_t> csr_slot_b;
-
-  /// True when every logical term had nonzero weight at capture, i.e. every
-  /// pattern slot has a recorded placement. Incomplete layouts cannot be
-  /// re-weighted (Create skips zero-weight terms, so the replay script
-  /// would not cover the pattern).
-  bool complete = false;
-
-  int num_physical_vars() const { return static_cast<int>(used_qubits.size()); }
-};
-
 /// A compiled physical QUBO with chain bookkeeping.
 class EmbeddedQubo {
  public:
   /// Compiles `logical` onto the hardware through `embedding`. Fails when
   /// the embedding does not support the problem.
-  ///
-  /// When `layout_out` is non-null and compilation succeeds, the
-  /// weight-independent layout is captured into it for later
-  /// `ReweightFrom` replays (see `EmbeddedLayout::complete`).
   static Result<EmbeddedQubo> Create(
       const qubo::QuboProblem& logical, const Embedding& embedding,
       const chimera::ChimeraGraph& graph,
-      const EmbeddedQuboOptions& options = EmbeddedQuboOptions(),
-      EmbeddedLayout* layout_out = nullptr);
-
-  /// Re-compiles a captured layout against the (new) coefficients of
-  /// `logical`, producing an EmbeddedQubo bit-identical to what
-  /// `Create(logical, ...)` would build for the same structure — without
-  /// touching the hardware graph or re-running verification, placement, or
-  /// spanning-tree search.
-  ///
-  /// Requirements: `logical` has the same variable count and interaction
-  /// pattern the layout was captured from, every quadratic weight is
-  /// nonzero, and the layout is `complete`. Honors the same
-  /// "embed.compile" fault-injection site as `Create`.
-  static Result<EmbeddedQubo> ReweightFrom(
-      const EmbeddedLayout& layout, const qubo::QuboProblem& logical,
       const EmbeddedQuboOptions& options = EmbeddedQuboOptions());
 
   /// The physical energy formula over compact variable indices.
@@ -196,10 +100,6 @@ class EmbeddedQubo {
 
   /// Fraction of chains with inconsistent values (diagnostic).
   double BrokenChainFraction(const std::vector<uint8_t>& physical_x) const;
-
-  /// Strict read-out: fails when any chain is inconsistent.
-  Result<std::vector<uint8_t>> UnembedStrict(
-      const std::vector<uint8_t>& physical_x) const;
 
   /// Total read-out: majority vote per chain (ties resolved toward 0),
   /// followed by one greedy-descent pass on the logical energy — the

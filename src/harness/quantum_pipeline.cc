@@ -44,13 +44,8 @@ Result<QuantumMqoResult> SolveQuantumMqo(const mapping::LogicalMapping& logical,
     physical_options.faults = options.faults;
     physical_options.fault_key = options.fault_attempt;
   }
-  Result<embedding::EmbeddedQubo> compiled =
-      options.embedding_cache != nullptr
-          ? options.embedding_cache->GetOrCreate(logical.qubo(), embedding,
-                                                 graph, physical_options,
-                                                 &result.embedding_cache_hit)
-          : embedding::EmbeddedQubo::Create(logical.qubo(), embedding, graph,
-                                            physical_options);
+  Result<embedding::EmbeddedQubo> compiled = embedding::EmbeddedQubo::Create(
+      logical.qubo(), embedding, graph, physical_options);
   if (!compiled.ok()) {
     CloseSpanWithError(trace, preprocessing.ElapsedMillis());
     return compiled.status();
@@ -58,11 +53,7 @@ Result<QuantumMqoResult> SolveQuantumMqo(const mapping::LogicalMapping& logical,
   embedding::EmbeddedQubo physical = std::move(compiled).value();
   result.preprocessing_ms = preprocessing.ElapsedMillis();
   result.physical_qubits = physical.num_physical_vars();
-  if (trace != nullptr) {
-    trace->Tag("cache_hit",
-               static_cast<int64_t>(result.embedding_cache_hit ? 1 : 0));
-    trace->Close(result.preprocessing_ms);
-  }
+  if (trace != nullptr) trace->Close(result.preprocessing_ms);
 
   // Annealing on the (simulated) device, with chronological reads.
   anneal::DWaveOptions device_options = options.device;

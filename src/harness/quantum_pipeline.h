@@ -18,7 +18,6 @@
 #include "chimera/topology.h"
 #include "embedding/embedded_qubo.h"
 #include "embedding/embedding.h"
-#include "embedding/embedding_cache.h"
 #include "harness/trajectory.h"
 #include "mapping/logical_mapping.h"
 #include "mqo/problem.h"
@@ -53,17 +52,11 @@ struct QuantumMqoOptions {
   /// Attempt number used as the fault key/epoch; orchestrators increment
   /// it per retry so retries draw fresh fault decisions.
   uint64_t fault_attempt = 0;
-  /// Structure-keyed embedding cache (never owned; null = always compile
-  /// cold). When set, the physical mapping is served by
-  /// `EmbeddingCache::GetOrCreate`, which reuses a captured layout for
-  /// repeated structures — bit-identical results, large preprocessing
-  /// savings on repeated shapes (retries, per-request re-weights).
-  embedding::EmbeddingCache* embedding_cache = nullptr;
   /// Optional solve trace (never owned; null = no tracing, one pointer
   /// test per stage). When set, the pipeline opens spans under the
-  /// caller's innermost open span: `pipeline.embed` (tag cache_hit),
-  /// `pipeline.anneal` with one `anneal.gauge` child per programming
-  /// cycle, `pipeline.unembed`, and `pipeline.merge`. Modeled durations
+  /// caller's innermost open span: `pipeline.embed`, `pipeline.anneal`
+  /// with one `anneal.gauge` child per programming cycle,
+  /// `pipeline.unembed`, and `pipeline.merge`. Modeled durations
   /// come from the device-time model (deterministic); wall durations are
   /// measured and only meaningful to humans.
   obs::SolveTrace* trace = nullptr;
@@ -97,9 +90,6 @@ struct QuantumMqoResult {
   int64_t faults_injected = 0;
   int dropped_reads = 0;
   double injected_latency_ms = 0.0;
-  /// True when the physical mapping was served from the embedding cache
-  /// (always false without `options.embedding_cache`).
-  bool embedding_cache_hit = false;
 };
 
 /// Runs Algorithm 1 on a prebuilt logical mapping (of `logical.problem()`)

@@ -8,7 +8,6 @@
 #include "anneal/sample_set.h"
 #include "anneal/simulated_annealer.h"
 #include "anneal/sqa.h"
-#include "embedding/embedding_cache.h"
 #include "util/deadline.h"
 #include "util/fault.h"
 #include "util/rng.h"
@@ -53,7 +52,6 @@ struct AttemptOutcome {
 // site, then the rung.
 AttemptOutcome RunAttempt(const SolvePolicy& policy, const SolveTarget& target,
                           const QuantumMqoOptions& options,
-                          embedding::EmbeddingCache* embedding_cache,
                           SolveBackend backend, int attempt) {
   AttemptOutcome out;
   // The orchestrator's own fault point: force a whole rung down.
@@ -78,7 +76,6 @@ AttemptOutcome RunAttempt(const SolvePolicy& policy, const SolveTarget& target,
         return out;
       }
       QuantumMqoOptions attempt_options = options;
-      attempt_options.embedding_cache = embedding_cache;
       if (policy.faults != nullptr && attempt_options.faults == nullptr) {
         attempt_options.faults = policy.faults;
       }
@@ -216,16 +213,6 @@ SolveReport ResilientSolver::Solve(const SolveTarget& target,
   target.qubo().Finalize();
   const bool has_hint = target.device_hint() != nullptr;
 
-  // Per-request embedding cache: the structure is identical across device
-  // retries (only gauges/fault keys change), so every retry after the first
-  // re-weights the cached layout instead of re-running verification,
-  // placement, and spanning-tree search. A caller-provided cache (shared
-  // across requests) takes precedence.
-  embedding::EmbeddingCache request_cache;
-  embedding::EmbeddingCache* embedding_cache =
-      options.embedding_cache != nullptr ? options.embedding_cache
-                                         : &request_cache;
-
   // One "solve.attempt" span per ladder attempt (and per gate-skipped
   // rung), nested under whatever span the caller has open. The device
   // rung's pipeline spans become children of its attempt spans: the
@@ -309,8 +296,8 @@ SolveReport ResilientSolver::Solve(const SolveTarget& target,
       const int64_t faults_before =
           policy.faults != nullptr ? policy.faults->faults_injected() : 0;
       Stopwatch attempt_clock;
-      AttemptOutcome out = RunAttempt(policy, target, options,
-                                      embedding_cache, backend, attempt);
+      AttemptOutcome out =
+          RunAttempt(policy, target, options, backend, attempt);
       rec.wall_ms = attempt_clock.ElapsedMillis();
       rec.modeled_ms = out.modeled_ms;
       deadline.Charge(out.modeled_ms);

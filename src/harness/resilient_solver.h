@@ -18,11 +18,7 @@
 ///  * bounded retries with exponential backoff and seeded jitter;
 ///  * retry-with-fresh-gauges when a device answer comes back as a
 ///    chain-break storm (each retry reseeds the gauge stream, the paper's
-///    own remedy for gauge-dependent noise). Retries share a per-request
-///    `embedding::EmbeddingCache` (or the caller's, via
-///    `QuantumMqoOptions::embedding_cache`), so only the first device
-///    attempt pays for embedding compilation — later attempts re-weight
-///    the cached layout bit-identically;
+///    own remedy for gauge-dependent noise);
 ///  * graceful degradation down the backend ladder
 ///    device -> SQA -> SA -> greedy when attempts fail or the budget runs
 ///    out. The device rung runs on the target's device hint; a target

@@ -24,7 +24,7 @@
 ///   service.request   root; tags: request id, verdict, round, queue-wait
 ///   solve.attempt     one per ladder attempt; tags: rung, backend,
 ///                     attempt, status, backoff_ms, faults
-///   pipeline.embed    embedding (tag cache_hit=0/1)
+///   pipeline.embed    embedding
 ///   pipeline.anneal   device/SQA sampling; children: anneal.gauge
 ///   anneal.gauge      one per gauge transform; tags: reads, dropped
 ///   pipeline.unembed  chain unembedding + repair over all reads

@@ -14,25 +14,6 @@ QuboProblem::QuboProblem(int num_vars)
   assert(num_vars >= 0);
 }
 
-QuboProblem QuboProblem::FromSorted(int num_vars, std::vector<double> linear,
-                                    std::vector<Interaction> interactions,
-                                    CsrGraph csr) {
-  QuboProblem out(num_vars);
-  assert(static_cast<int>(linear.size()) == num_vars);
-  out.linear_ = std::move(linear);
-  out.interactions_ = std::move(interactions);
-  if (csr.row_offsets.empty()) {
-    out.csr_.Build(num_vars, out.interactions_);
-  } else {
-    assert(csr.num_vars() == num_vars);
-    assert(csr.neighbor_ids.size() == 2 * out.interactions_.size());
-    out.csr_ = std::move(csr);
-  }
-  out.finalized_ = true;
-  out.quadratic_map_synced_ = false;
-  return out;
-}
-
 uint64_t QuboProblem::PairKey(VarId a, VarId b) {
   if (a > b) std::swap(a, b);
   return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
@@ -41,9 +22,6 @@ uint64_t QuboProblem::PairKey(VarId a, VarId b) {
 
 void QuboProblem::AddLinear(VarId i, double w) {
   assert(i >= 0 && i < num_vars_);
-  // Mutation invalidates the derived structures, so the pair map must be
-  // current first — it becomes the only source for the next finalize.
-  EnsureQuadraticMap();
   linear_[static_cast<size_t>(i)] += w;
   finalized_ = false;
 }
@@ -52,25 +30,13 @@ void QuboProblem::AddQuadratic(VarId i, VarId j, double w) {
   assert(i >= 0 && i < num_vars_);
   assert(j >= 0 && j < num_vars_);
   assert(i != j && "quadratic term requires distinct variables");
-  EnsureQuadraticMap();
   quadratic_[PairKey(i, j)] += w;
   finalized_ = false;
 }
 
 double QuboProblem::quadratic(VarId i, VarId j) const {
-  EnsureQuadraticMap();
   auto it = quadratic_.find(PairKey(i, j));
   return it == quadratic_.end() ? 0.0 : it->second;
-}
-
-void QuboProblem::EnsureQuadraticMap() const {
-  if (quadratic_map_synced_) return;
-  quadratic_.clear();
-  quadratic_.reserve(interactions_.size());
-  for (const Interaction& term : interactions_) {
-    quadratic_.emplace(PairKey(term.i, term.j), term.weight);
-  }
-  quadratic_map_synced_ = true;
 }
 
 void QuboProblem::EnsureFinalized() const {
@@ -93,8 +59,7 @@ void QuboProblem::EnsureFinalized() const {
 }
 
 int QuboProblem::num_interactions() const {
-  return static_cast<int>(quadratic_map_synced_ ? quadratic_.size()
-                                                : interactions_.size());
+  return static_cast<int>(quadratic_.size());
 }
 
 const std::vector<Interaction>& QuboProblem::interactions() const {
@@ -173,13 +138,9 @@ std::pair<double, double> QuboProblem::WeightRange() const {
     }
   };
   for (double w : linear_) absorb(w);
-  if (quadratic_map_synced_) {
-    for (const auto& [key, w] : quadratic_) {
-      (void)key;
-      absorb(w);
-    }
-  } else {
-    for (const Interaction& term : interactions_) absorb(term.weight);
+  for (const auto& [key, w] : quadratic_) {
+    (void)key;
+    absorb(w);
   }
   if (first) return {0.0, 0.0};
   return {lo, hi};

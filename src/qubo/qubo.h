@@ -34,25 +34,6 @@ class QuboProblem {
   /// Creates an instance with `num_vars` variables and no terms.
   explicit QuboProblem(int num_vars);
 
-  /// Builds a *finalized* instance directly from evaluation-ready arrays:
-  /// the full linear vector and a lexicographically sorted (i < j, no
-  /// duplicate pairs) interaction list. This skips the per-term hash-map
-  /// accumulation of `AddLinear`/`AddQuadratic` and the finalize sort —
-  /// the fast path for re-weighting a cached embedding layout.
-  ///
-  /// When `csr` is provided it must be the exact CSR adjacency of
-  /// `interactions` (same rows, neighbor-sorted) and is adopted as-is;
-  /// otherwise it is built here.
-  ///
-  /// The pair map backing `quadratic()` point lookups and further
-  /// `Add*` mutation is materialized lazily on first use; trigger it
-  /// single-threaded (one `quadratic()` call) before sharing the instance
-  /// across threads if concurrent point lookups are needed. The annealing
-  /// read path (csr/linear/interactions/energies) never touches it.
-  static QuboProblem FromSorted(int num_vars, std::vector<double> linear,
-                                std::vector<Interaction> interactions,
-                                CsrGraph csr = CsrGraph());
-
   int num_vars() const { return num_vars_; }
 
   /// Adds `w` to the linear coefficient of x_i.
@@ -114,16 +95,11 @@ class QuboProblem {
  private:
   static uint64_t PairKey(VarId a, VarId b);
   void EnsureFinalized() const;
-  void EnsureQuadraticMap() const;
 
   int num_vars_;
   std::vector<double> linear_;
-  // Source of truth for mutation and point lookups. For instances built by
-  // `FromSorted` the truth starts in `interactions_` instead and the map is
-  // materialized on demand (`quadratic_map_synced_`); both mutators sync it
-  // first, so `finalized_ == false` implies the map is current.
-  mutable std::unordered_map<uint64_t, double> quadratic_;
-  mutable bool quadratic_map_synced_ = true;
+  // Source of truth for mutation and point lookups.
+  std::unordered_map<uint64_t, double> quadratic_;
 
   // Lazily derived evaluation structures.
   mutable bool finalized_ = false;

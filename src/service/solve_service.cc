@@ -4,7 +4,6 @@
 #include <array>
 #include <utility>
 
-#include "embedding/embedding_cache.h"
 #include "harness/mqo_workload.h"
 #include "mqo/serialization.h"
 #include "util/executor.h"
@@ -191,21 +190,6 @@ void SolveService::RegisterMetrics() {
                        site.c_str()))
             ->SetToAbsolute(count);
       }
-    });
-  }
-  if (options_.pipeline.embedding_cache != nullptr) {
-    embedding::EmbeddingCache* cache = options_.pipeline.embedding_cache;
-    registry_.AddCollector([cache](obs::MetricsRegistry* r) {
-      const embedding::EmbeddingCacheStats stats = cache->stats();
-      r->counter("qmqo_embedding_cache_hits_total",
-                 "Embedding cache lookups by kind")
-          ->SetToAbsolute(static_cast<int64_t>(stats.hits));
-      r->counter("qmqo_embedding_cache_misses_total")
-          ->SetToAbsolute(static_cast<int64_t>(stats.misses));
-      r->counter("qmqo_embedding_cache_evictions_total")
-          ->SetToAbsolute(static_cast<int64_t>(stats.evictions));
-      r->counter("qmqo_embedding_cache_bypasses_total")
-          ->SetToAbsolute(static_cast<int64_t>(stats.bypasses));
     });
   }
 }

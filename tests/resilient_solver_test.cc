@@ -169,11 +169,17 @@ TEST_F(ResilientSolverTest, EveryBackendFaultedReportsLastError) {
   EXPECT_EQ(report.retries, 4);
 }
 
-TEST_F(ResilientSolverTest, FailFirstScheduleRecoversOnRetry) {
+/// A fail-first-1 schedule at one fault site of the device attempt: the
+/// orchestrator's own gate, the device's programming cycle, or the
+/// physical-mapping compile inside the pipeline.
+class FailFirstSiteTest : public ResilientSolverTest,
+                          public ::testing::WithParamInterface<const char*> {};
+
+TEST_P(FailFirstSiteTest, FailFirstScheduleRecoversOnRetry) {
   util::FaultInjector faults(ChaosSeed());
   util::FaultSpec once;
   once.fail_first = 1;  // attempt 1 (key 0) fails; attempt 2 succeeds
-  faults.Arm("solve.device", once);
+  faults.Arm(GetParam(), once);
 
   SolvePolicy policy = QuickPolicy();
   policy.faults = &faults;
@@ -187,7 +193,19 @@ TEST_F(ResilientSolverTest, FailFirstScheduleRecoversOnRetry) {
   ASSERT_EQ(report.attempts.size(), 2u);
   EXPECT_FALSE(report.attempts[0].status.ok());
   EXPECT_TRUE(report.attempts[1].status.ok());
+  EXPECT_EQ(faults.FaultCount(GetParam()), 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    DeviceSites, FailFirstSiteTest,
+    ::testing::Values("solve.device", "device.program", "embed.compile"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '.') c = '_';
+      }
+      return name;
+    });
 
 TEST_F(ResilientSolverTest, InjectedLatencyTimesOutTheAttempt) {
   util::FaultInjector faults(ChaosSeed());
